@@ -28,6 +28,7 @@ from .errors import (
     BadHomologyBasisError,
     DimensionMismatchError,
     DiskSumError,
+    HomologyError,
     InconsistentLiftsError,
     RankAmbiguityError,
     SceneError,
@@ -65,7 +66,6 @@ from .torsion import (
     HomologySplitting,
     TorsionResult,
     build_splitting,
-    torsion,
     torsion_independence_check,
     torsion_of,
 )

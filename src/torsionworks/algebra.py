@@ -17,6 +17,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .linalg import DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +266,6 @@ class LieAlgebraBasis:
     def dim(self) -> int:
         return self.n * self.n - 1
 
-    def gram_defect(self) -> float:
-        gram = np.array([[killing_form(a, b) for b in self.vectors] for a in self.vectors])
-        return float(np.max(np.abs(gram - np.eye(self.dim))))
-
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of a traceless matrix in this basis (B-pairing)."""
         return np.array([killing_form(a, x) for a in self.vectors])
@@ -378,7 +375,7 @@ class RelatorCheck(NamedTuple):
 
 
 def check_representation(pres: GroupPresentation, rep: Representation,
-                         tol: float = 1e-8) -> RelatorCheck:
+                         tol: float = DEFAULT_TOL) -> RelatorCheck:
     """Check every relator maps to the identity (SL) or to +-identity (PSL).
 
     Residuals are operator-norm distances, one per relator; for PSL the

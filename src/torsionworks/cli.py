@@ -27,6 +27,7 @@ from .algebra import orthonormal_sl2_basis
 from .complexes import homology, twist
 from .errors import RankAmbiguityError, SceneError, TorsionworksError
 from .glue import analyze_disk_sum, verify_multiplicativity, verify_mv_identity
+from .linalg import DEFAULT_TOL
 from .scenes import parse_scene
 from .torsion import torsion_of
 
@@ -85,7 +86,7 @@ def _default_tol(args) -> float:
         if not value > 0:
             raise SceneError("TORSIONWORKS_TOL must be positive")
         return value
-    return 1e-8
+    return DEFAULT_TOL
 
 
 def _scene_h_bases(scene, hd, mode: str):

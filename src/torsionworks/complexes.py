@@ -21,10 +21,10 @@ from .algebra import (
     Word,
     adjoint_matrix,
 )
-from .errors import DimensionMismatchError, InconsistentLiftsError
+from .errors import DimensionMismatchError, HomologyError, InconsistentLiftsError
+from .linalg import DEFAULT_TOL
 
 MAX_DIMENSION = 3
-DEFAULT_TOL = 1e-8
 
 
 @dataclass
@@ -189,21 +189,28 @@ class HomologyData:
 def homology(tc, tol: float = DEFAULT_TOL) -> HomologyData:
     """Rank-revealing homology of a chain complex.
 
-    Accepts any object with ``dims`` and ``boundary(p)``.  The chosen
-    homology representatives are orthonormal cycles orthogonal to the
-    boundary space; betti numbers do not depend on that choice.
+    Accepts any object with ``dims`` and ``boundary(p)``.  Each boundary
+    map is factored once: its SVD gives the cycles in its source degree
+    and the boundaries in its target degree.  The chosen homology
+    representatives are orthonormal cycles orthogonal to the boundary
+    space; betti numbers do not depend on that choice.
     """
     n = len(tc.dims) - 1
     betti, cycles, bounds, hs = [], [], [], []
+    z, _ = linalg.kernel_and_image(tc.boundary(0), tol)
     for p in range(n + 1):
-        down = tc.boundary(p)
-        up = tc.boundary(p + 1)
-        z = linalg.kernel_basis(down, tol, check_ambiguity=True)
-        b = linalg.image_basis(up, tol, check_ambiguity=True)
+        z_next, b = linalg.kernel_and_image(tc.boundary(p + 1), tol)
         k = z.shape[1] - b.shape[1]
-        h = linalg.complement_in(z, b, k, tol)
+        if k < 0:
+            raise HomologyError(f"homology in degree {p}: {b.shape[1]} boundaries "
+                                f"exceed {z.shape[1]} cycles; the maps do not compose to zero")
+        try:
+            h = linalg.complement_in(z, b, k, tol)
+        except HomologyError as exc:
+            raise HomologyError(f"homology in degree {p}: {exc}") from None
         betti.append(k)
         cycles.append(z)
         bounds.append(b)
         hs.append(h)
+        z = z_next
     return HomologyData(betti, cycles, bounds, hs)

@@ -29,6 +29,11 @@ class InconsistentLiftsError(TorsionworksError):
     """
 
 
+class HomologyError(TorsionworksError):
+    """Homology representatives could not be chosen: the cycles of some
+    degree have too few directions outside the boundaries."""
+
+
 class BadHomologyBasisError(TorsionworksError):
     """Supplied homology basis vectors are not cycles, or their classes
     are dependent modulo boundaries, or the count is wrong."""

@@ -25,7 +25,7 @@ to plain multiplicativity T(M) = T(M1) * T(M2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .algebra import (
     orthonormal_sl2_basis,
 )
 from .complexes import (
+    MAX_DIMENSION,
     CwComplexData,
     HomologyData,
     TwistedChainComplex,
@@ -48,12 +49,21 @@ from .complexes import (
     twist,
     untwisted_betti0,
 )
-from .errors import DiskSumError, SequenceError, TransportError
-from .torsion import TorsionResult, build_splitting, torsion, torsion_of
+from .errors import DiskSumError, HomologyError, SequenceError, TransportError
+from .linalg import DEFAULT_TOL, DEFECT_TOL
+from .scenes import disk
+from .torsion import (
+    HomologySplitting,
+    TorsionResult,
+    assembled_matrix,
+    build_splitting,
+    torsion,
+    torsion_of,
+)
 
-DEFAULT_TOL = 1e-8
-SEQUENCE_TOL = 1e-8
-N_SPACES = 12
+# three spaces per degree: H_p(M), H_p(M1) (+) H_p(M2), H_p(D)
+DEGREES = MAX_DIMENSION + 1
+N_SPACES = 3 * DEGREES
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +179,6 @@ def free_product_rep(psi1: Representation, psi2: Representation,
     return Representation(psi1.target, psi1.n, images)
 
 
-def point_complex(name: str = "disk") -> CwComplexData:
-    return CwComplexData(name=name, presentation=GroupPresentation.free(0),
-                         cells=[1], boundaries=[])
-
-
 # ---------------------------------------------------------------------------
 # chain-level inclusion maps of the gluing
 # ---------------------------------------------------------------------------
@@ -226,12 +231,12 @@ def _class_coordinates(vectors, h, boundary, tol):
     cols = vectors.shape[1]
     blocks = [m for m in (h, boundary) if m.shape[1]]
     if not blocks:
-        if linalg.operator_norm(vectors) > SEQUENCE_TOL:
+        if linalg.operator_norm(vectors) > DEFECT_TOL:
             raise SequenceError("nonzero vector mapped into a zero homology group")
         return np.zeros((0, cols), dtype=complex)
     solve_in = np.hstack(blocks)
     coords, defect = linalg.min_norm_preimage(solve_in, vectors, tol)
-    if defect > SEQUENCE_TOL:
+    if defect > DEFECT_TOL:
         raise SequenceError(
             f"vector is not a cycle class in the given basis (defect {defect:.3e})"
         )
@@ -251,6 +256,10 @@ class MvSequence:
     the maps are plain matrices and the default assigned bases are
     identities.  ``block_splits[q]`` records how the direct-sum spaces
     at index q = 3p+1 divide between the two factors.
+
+    The sequence's split, one per tolerance, is computed once and shared
+    with every ``with_bases`` copy: the copies have the same maps, and
+    the split does not depend on the assigned bases.
     """
 
     dims: list[int]
@@ -260,6 +269,8 @@ class MvSequence:
     h_m: list[np.ndarray]
     h_factors: tuple[list[np.ndarray], list[np.ndarray]]
     h_disk: list[np.ndarray]
+    _splits: dict[float, HomologySplitting] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def boundary(self, p: int) -> np.ndarray:
         if 1 <= p <= N_SPACES - 1:
@@ -269,8 +280,9 @@ class MvSequence:
         return np.zeros((self.dims[-1] if p == N_SPACES else 0, 0), dtype=complex)
 
     def with_bases(self, bases) -> "MvSequence":
-        return MvSequence(self.dims, self.maps, [np.asarray(b, dtype=complex) for b in bases],
-                          self.block_splits, self.h_m, self.h_factors, self.h_disk)
+        copy = replace(self, bases=[np.asarray(b, dtype=complex) for b in bases])
+        copy._splits = self._splits
+        return copy
 
     def label(self, p: int) -> str:
         i, kind = divmod(p, 3)
@@ -294,7 +306,8 @@ def mv_sequence(ds: DiskSumResult, tc1, tc2, tcm, tcd,
     The maps are induced on homology coordinates: inclusion-induced maps
     in each degree, plus the connecting map computed by the usual
     zig-zag (lift along beta, take the boundary, pull back along alpha).
-    Exactness is verified before returning.
+    Exactness is verified, and the split that ``corrective_term`` and
+    ``transport_bases`` share is built, before returning.
     """
     h1 = [hd1.h_basis[p] for p in range(len(tc1.dims))] if h1 is None else h1
     h2 = [hd2.h_basis[p] for p in range(len(tc2.dims))] if h2 is None else h2
@@ -305,7 +318,7 @@ def mv_sequence(ds: DiskSumResult, tc1, tc2, tcm, tcd,
 
     dims = []
     block_splits = {}
-    for p in range(4):
+    for p in range(DEGREES):
         nm = _padded(hm, p, tcm.dims).shape[1]
         n1 = _padded(h1, p, tc1.dims).shape[1]
         n2 = _padded(h2, p, tc2.dims).shape[1]
@@ -318,7 +331,7 @@ def mv_sequence(ds: DiskSumResult, tc1, tc2, tcm, tcd,
     def factor_dim(tc, p):
         return tc.dims[p] if p < len(tc.dims) else 0
 
-    for p in range(4):
+    for p in range(DEGREES):
         q = 3 * p
         # beta-induced: H_p(M1) (+) H_p(M2) -> H_p(M)
         src1 = _padded(h1, p, tc1.dims)
@@ -353,14 +366,14 @@ def mv_sequence(ds: DiskSumResult, tc1, tc2, tcm, tcd,
             mat = np.zeros((dims[q + 2], src.shape[1]), dtype=complex)
             if src.shape[1] and dims[q + 2]:
                 lift, defect = linalg.min_norm_preimage(beta[p + 1], src, tol)
-                if defect > SEQUENCE_TOL:
+                if defect > DEFECT_TOL:
                     raise SequenceError(
                         f"degree {p + 1}: cycles do not lift through the gluing map "
                         f"(defect {defect:.3e})"
                     )
                 bdry = _direct_sum_boundary(tc1, tc2, p + 1) @ lift
                 pulled, defect = linalg.min_norm_preimage(alpha, bdry, tol)
-                if defect > SEQUENCE_TOL:
+                if defect > DEFECT_TOL:
                     raise SequenceError(
                         f"degree {p + 1}: connecting boundary misses the disk image "
                         f"(defect {defect:.3e})"
@@ -378,33 +391,37 @@ def mv_sequence(ds: DiskSumResult, tc1, tc2, tcm, tcd,
         h_factors=(list(h1), list(h2)),
         h_disk=list(hdisk),
     )
-    verify_exactness(seq, tol)
+    _split(seq, tol)
     return seq
 
 
-def verify_exactness(seq: MvSequence, tol: float = DEFAULT_TOL):
-    """Composition-zero and rank(ker) = rank(im) at every junction."""
-    total = 0
+def verify_exactness(seq: MvSequence, tol: float = DEFAULT_TOL) -> HomologyData:
+    """Composition-zero at every junction, zero homology, and a zero
+    alternating dimension sum.  Returns the sequence's homology data."""
     for p in range(N_SPACES):
         din = seq.boundary(p + 1)
         dout = seq.boundary(p)
         if din.shape[1] and dout.shape[1]:
             comp = linalg.operator_norm(dout @ din)
             scale = 1.0 + linalg.operator_norm(dout) * linalg.operator_norm(din)
-            if comp > SEQUENCE_TOL * scale:
+            if comp > DEFECT_TOL * scale:
                 raise SequenceError(
                     f"maps into and out of space {p} compose to norm {comp:.3e}"
                 )
-        rank_in = linalg.matrix_rank(din, tol)
-        kernel = seq.dims[p] - linalg.matrix_rank(dout, tol)
-        if rank_in != kernel:
+    try:
+        hd = homology(seq, tol)
+    except HomologyError as exc:
+        raise SequenceError(f"{exc}; the sequence is not exact") from None
+    for p, k in enumerate(hd.betti):
+        if k:
             raise SequenceError(
-                f"space {p} ({seq.label(p)}): incoming rank {rank_in} != "
-                f"kernel dimension {kernel}; the sequence is not exact"
+                f"space {p} ({seq.label(p)}): homology of dimension {k}; "
+                "the sequence is not exact"
             )
-        total += (-1) ** p * seq.dims[p]
+    total = sum((-1) ** p * n for p, n in enumerate(seq.dims))
     if total != 0:
         raise SequenceError(f"alternating dimension sum is {total}, not 0")
+    return hd
 
 
 def _split_boundary_bases(seq: MvSequence, images: list[np.ndarray]) -> list[np.ndarray]:
@@ -428,6 +445,16 @@ def _split_boundary_bases(seq: MvSequence, images: list[np.ndarray]) -> list[np.
     return out
 
 
+def _split(seq: MvSequence, tol: float) -> HomologySplitting:
+    """Exactness check and split b_q | s_q(b_{q-1}), once per tolerance."""
+    if tol not in seq._splits:
+        hd = verify_exactness(seq, tol)
+        seq._splits[tol] = build_splitting(
+            seq, hd, tol=tol,
+            boundary_bases=_split_boundary_bases(seq, hd.boundary_basis))
+    return seq._splits[tol]
+
+
 def corrective_term(seq: MvSequence, tol: float = DEFAULT_TOL) -> TorsionResult:
     """Torsion of the exact sequence in its assigned bases.
 
@@ -437,13 +464,7 @@ def corrective_term(seq: MvSequence, tol: float = DEFAULT_TOL) -> TorsionResult:
     ``transport_bases`` normalizes.  The value does not depend on that
     choice; the per-degree determinants do.
     """
-    verify_exactness(seq, tol)
-    hd = homology(seq, tol)
-    if any(hd.betti):
-        raise SequenceError(f"sequence has homology {hd.betti}; expected acyclic")
-    split = build_splitting(seq, hd, tol=tol,
-                            boundary_bases=_split_boundary_bases(seq, hd.boundary_basis))
-    return torsion(seq, split, reference_bases=seq.bases)
+    return torsion(seq, _split(seq, tol), reference_bases=seq.bases)
 
 
 # ---------------------------------------------------------------------------
@@ -494,31 +515,16 @@ def transport_bases(seq: MvSequence, tol: float = DEFAULT_TOL) -> TransportedBas
     a_matrices = []
     det_as = []
 
-    images = _split_boundary_bases(
-        seq, [linalg.image_basis(seq.boundary(p + 1), tol) for p in range(N_SPACES)])
-    for p in range(4):
+    split = _split(seq, tol)
+    for p in range(DEGREES):
         q = 3 * p + 1
-        nq = seq.dims[q]
-        if nq == 0:
+        if seq.dims[q] == 0:
             a_matrices.append(linalg.empty_matrix(0))
             det_as.append(complex(1.0))
             continue
-        blocks = [images[q]]
-        if images[q - 1].shape[1]:
-            section, defect = linalg.min_norm_preimage(seq.boundary(q), images[q - 1], tol)
-            if defect > SEQUENCE_TOL:
-                raise TransportError(
-                    f"space {q}: section defect {defect:.3e} while transporting"
-                )
-            blocks.append(section)
-        split_basis = np.hstack([b for b in blocks if b.shape[1]])
-        if split_basis.shape != (nq, nq):
-            raise TransportError(
-                f"space {q}: split basis has shape {split_basis.shape}, expected square"
-            )
         # rows of A express the natural (identity) factor basis in the split basis
         try:
-            a = np.linalg.inv(split_basis).T
+            a = np.linalg.inv(assembled_matrix(seq, split, q)).T
         except np.linalg.LinAlgError as exc:
             raise TransportError(f"space {q}: singular transport matrix") from exc
         det_a = complex(np.linalg.det(a))
@@ -529,7 +535,7 @@ def transport_bases(seq: MvSequence, tol: float = DEFAULT_TOL) -> TransportedBas
         det_as.append(det_a)
 
     residual = corrective_term(seq.with_bases(bases), tol).value
-    slot = next((3 * p + 1 for p in range(4) if seq.dims[3 * p + 1]), None)
+    slot = next((3 * p + 1 for p in range(DEGREES) if seq.dims[3 * p + 1]), None)
     if slot is None:
         if abs(residual - 1.0) > 1e-6:
             raise TransportError(
@@ -543,7 +549,7 @@ def transport_bases(seq: MvSequence, tol: float = DEFAULT_TOL) -> TransportedBas
 
     h1, h2 = seq.h_factors
     out1, out2 = [], []
-    for p in range(4):
+    for p in range(DEGREES):
         q = 3 * p + 1
         n1, n2 = seq.block_splits[q]
         if p < len(h1):
@@ -589,12 +595,11 @@ def analyze_disk_sum(m1: CwComplexData, rep1: Representation,
     basis = basis or orthonormal_sl2_basis()
     ds = disk_sum(m1, m2, tol)
     rep = free_product_rep(rep1, rep2, ds)
-    disk = point_complex()
     disk_rep = Representation.trivial(0, rep.n, rep1.target)
     tc1 = twist(m1, rep1, basis, tol)
     tc2 = twist(m2, rep2, basis, tol)
     tcm = twist(ds.total, rep, basis, tol)
-    tcd = twist(disk, disk_rep, basis, tol)
+    tcd = twist(disk(), disk_rep, basis, tol)
     return GluedPair(ds, rep, tc1, tc2, tcm, tcd,
                      homology(tc1, tol), homology(tc2, tol),
                      homology(tcm, tol), homology(tcd, tol))

@@ -8,7 +8,13 @@ largest singular value.
 
 import numpy as np
 
-from .errors import RankAmbiguityError
+from .errors import HomologyError, RankAmbiguityError
+
+# default relative rank cutoff, which a caller's tol overrides
+DEFAULT_TOL = 1e-8
+
+# fixed threshold on the relative defect of a solve or a composition
+DEFECT_TOL = DEFAULT_TOL
 
 # matrices with operator norm below this are the zero map
 ZERO_FLOOR = 1e-11
@@ -25,12 +31,6 @@ def operator_norm(a):
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
-
-
-def singular_values(a):
-    if a.size == 0 or min(a.shape) == 0:
-        return np.zeros(0)
-    return np.linalg.svd(a, compute_uv=False)
 
 
 def svd_rank(sv, tol, check_ambiguity=False):
@@ -55,26 +55,21 @@ def svd_rank(sv, tol, check_ambiguity=False):
     return int(np.sum(sv > cutoff))
 
 
-def matrix_rank(a, tol, check_ambiguity=False):
-    return svd_rank(singular_values(a), tol, check_ambiguity)
+def matrix_rank(a, tol):
+    if a.size == 0:
+        return 0
+    return svd_rank(np.linalg.svd(a, compute_uv=False), tol)
 
 
-def image_basis(a, tol, check_ambiguity=False):
-    """Orthonormal basis (columns) of the column space of ``a``."""
-    if a.size == 0 or min(a.shape) == 0:
-        return empty_matrix(a.shape[0])
-    u, sv, _ = np.linalg.svd(a)
-    return u[:, : svd_rank(sv, tol, check_ambiguity)]
-
-
-def kernel_basis(a, tol, check_ambiguity=False):
-    """Orthonormal basis (columns) of the null space of ``a``."""
-    if a.shape[0] == 0 or a.size == 0:
-        return np.eye(a.shape[1], dtype=complex)
-    if a.shape[1] == 0:
-        return empty_matrix(0)
-    _, sv, vh = np.linalg.svd(a)
-    return vh[svd_rank(sv, tol, check_ambiguity):, :].conj().T
+def kernel_and_image(a, tol):
+    """Orthonormal bases (columns) of the null space and the column space
+    of ``a``, both read from one SVD.  Raises RankAmbiguityError when the
+    rank is too close to call."""
+    if a.size == 0:
+        return np.eye(a.shape[1], dtype=complex), empty_matrix(a.shape[0])
+    u, sv, vh = np.linalg.svd(a)
+    rank = svd_rank(sv, tol, check_ambiguity=True)
+    return vh[rank:, :].conj().T, u[:, :rank]
 
 
 def complement_in(span, subspace, count, tol):
@@ -89,8 +84,9 @@ def complement_in(span, subspace, count, tol):
     resid = span - subspace @ (subspace.conj().T @ span)
     u, sv, _ = np.linalg.svd(resid)
     if sv.size < count or sv[count - 1] <= tol:
-        raise np.linalg.LinAlgError(
-            "projected span does not contain enough independent directions"
+        raise HomologyError(
+            f"the span has fewer than {count} independent "
+            "directions outside the subspace"
         )
     return u[:, :count]
 

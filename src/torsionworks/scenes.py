@@ -27,9 +27,9 @@ from .algebra import (
 )
 from .complexes import CwComplexData
 from .errors import SceneError
+from .linalg import DEFAULT_TOL
 
 MAX_NAMED_GENERATORS = 26
-DEFAULT_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------

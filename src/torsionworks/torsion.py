@@ -24,19 +24,10 @@ import numpy as np
 
 from . import linalg
 from .errors import BadHomologyBasisError, SplittingError
-
-DEFAULT_TOL = 1e-8
-SECTION_EXACTNESS_TOL = 1e-8
-
-
-def _boundary_bases(tc, tol):
-    n = len(tc.dims) - 1
-    return [linalg.image_basis(tc.boundary(p + 1), tol) for p in range(n + 1)]
+from .linalg import DEFAULT_TOL, DEFECT_TOL
 
 
 def _as_columns(dims_p, block) -> np.ndarray:
-    if block is None:
-        return linalg.empty_matrix(dims_p)
     arr = np.asarray(block, dtype=complex)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
@@ -55,10 +46,6 @@ class HomologySplitting:
     h: list[np.ndarray]
     s: list[np.ndarray]
 
-    @property
-    def degrees(self) -> int:
-        return len(self.b)
-
 
 def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
                     boundary_bases=None, section_cycles=None) -> HomologySplitting:
@@ -66,13 +53,14 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
 
     ``h_bases[p]`` supplies cycle vectors whose classes form a basis of
     H_p; it defaults to the representatives chosen by ``homology``.
-    ``boundary_bases`` overrides the basis of each B_p (any spanning
+    The basis of each B_p defaults to the orthonormal image basis
+    ``hd.boundary_basis``; ``boundary_bases`` overrides it (any spanning
     choice is valid) and ``section_cycles`` adds cycle components to the
     minimum-norm sections; both exist so that independence from these
     choices can be exercised directly.
     """
     n = len(tc.dims) - 1
-    bs = list(boundary_bases) if boundary_bases is not None else _boundary_bases(tc, tol)
+    bs = list(boundary_bases if boundary_bases is not None else hd.boundary_basis)
     hs = []
     for p in range(n + 1):
         block = None if h_bases is None else (h_bases[p] if p < len(h_bases) else None)
@@ -99,10 +87,9 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
     for p in range(1, n + 1):
         target = bs[p - 1]
         pre, defect = linalg.min_norm_preimage(tc.boundary(p), target, tol)
-        if defect > SECTION_EXACTNESS_TOL:
+        if defect > DEFECT_TOL:
             raise SplittingError(
-                f"degree {p}: section defect {defect:.3e} exceeds "
-                f"{SECTION_EXACTNESS_TOL:.0e}"
+                f"degree {p}: section defect {defect:.3e} exceeds {DEFECT_TOL:.0e}"
             )
         if section_cycles is not None and pre.shape[1]:
             shift = section_cycles[p]
@@ -142,19 +129,16 @@ class TorsionResult:
 
     ``per_degree_determinants[p]`` is the determinant expressing the
     reference basis in the split basis b_p | h_p | s_p(b_{p-1}) that
-    ``build_splitting`` assembled: b_p is the orthonormal SVD image
-    basis unless the caller passed ``boundary_bases`` (the corrective
-    term passes the split basis that ``transport_bases`` normalizes).
+    ``build_splitting`` assembled: b_p is the orthonormal image basis
+    that ``homology`` computed unless the caller passed
+    ``boundary_bases`` (the corrective term passes the split basis that
+    ``transport_bases`` normalizes).
     Each determinant depends on that choice of b_p; the value, their
     alternating product with exponent (-1)^(p+1), does not.
-    ``sign_normalized`` stays False for raw values (the overall sign
-    depends on the pinned basis orderings; compare moduli across
-    conventions).
     """
 
     value: complex
     per_degree_determinants: list[complex]
-    sign_normalized: bool = False
 
     @property
     def modulus(self) -> float:

@@ -1,0 +1,105 @@
+"""One factorization per boundary map, one exactness check per sequence."""
+
+import numpy as np
+import pytest
+
+from torsionworks import glue, linalg
+from torsionworks.algebra import Representation
+from torsionworks.complexes import TwistedChainComplex, homology, twist
+from torsionworks.errors import HomologyError, SequenceError, TorsionworksError
+from torsionworks.scenes import circle, wedge_of_circles
+
+from conftest import diag_rep, random_sl2, torus
+
+
+@pytest.mark.parametrize("name", ["circle", "wedge", "torus"])
+def test_homology_factors_each_boundary_map_once(name, basis, rng, monkeypatch):
+    cw, rep = {
+        "circle": (circle(), diag_rep(2.0)),
+        "wedge": (wedge_of_circles(2),
+                  Representation.from_images([random_sl2(rng), random_sl2(rng)])),
+        "torus": (torus(), diag_rep(2.0, 3.0)),
+    }[name]
+    tc = twist(cw, rep, basis)
+    factored = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        factored.append(np.array(a, copy=True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    homology(tc)
+    for p in range(1, tc.dimension + 1):
+        d = tc.boundary(p)
+        times = sum(a.shape == d.shape and np.array_equal(a, d) for a in factored)
+        assert times == 1, f"boundary {p} factored {times} times"
+
+
+def test_exactness_checked_once_per_sequence(monkeypatch):
+    counts = {"mv_sequence": 0, "verify_exactness": 0}
+
+    def counting(name):
+        original = getattr(glue, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(glue, name, wrapper)
+
+    counting("mv_sequence")
+    counting("verify_exactness")
+    report = glue.verify_multiplicativity(
+        [circle(), wedge_of_circles(2), torus()],
+        [diag_rep(2.0), diag_rep(3.0, 1.5), diag_rep(2.0, 3.0)],
+    )
+    assert report.passed
+    assert counts["mv_sequence"] == 2
+    assert counts["verify_exactness"] == counts["mv_sequence"]
+
+
+def test_complement_in_span_inside_subspace():
+    subspace = np.eye(3, dtype=complex)[:, :2]
+    span = subspace @ np.array([[1.0, 2.0], [0.5, -1.0]], dtype=complex)
+    with pytest.raises(HomologyError) as info:
+        linalg.complement_in(span, subspace, 1, linalg.DEFAULT_TOL)
+    assert isinstance(info.value, TorsionworksError)
+
+
+def test_homology_error_names_degree(basis, monkeypatch):
+    def failing(span, subspace, count, tol):
+        raise HomologyError("too few directions")
+
+    monkeypatch.setattr(linalg, "complement_in", failing)
+    with pytest.raises(HomologyError, match="homology in degree 0"):
+        homology(twist(circle(), diag_rep(2.0), basis))
+
+
+def test_homology_rejects_more_boundaries_than_cycles():
+    one = np.eye(1, dtype=complex)
+    tc = TwistedChainComplex(1, [1, 1, 1], [one, one])
+    with pytest.raises(HomologyError, match="homology in degree 1"):
+        homology(tc)
+
+
+def test_verify_exactness_rejects_image_larger_than_kernel():
+    # the composition 1e-8 passes the composition-zero check, but space 1
+    # has a 0-dimensional kernel and a 1-dimensional incoming image
+    dims = [1, 1, 1] + [0] * (glue.N_SPACES - 3)
+    maps = [np.zeros((dims[p - 1] if p else 0, dims[p]), dtype=complex)
+            for p in range(glue.N_SPACES)]
+    maps[1] = maps[2] = np.array([[1e-4]], dtype=complex)
+    seq = glue.MvSequence(
+        dims=dims, maps=maps, bases=[np.eye(n, dtype=complex) for n in dims],
+        block_splits={}, h_m=[], h_factors=([], []), h_disk=[])
+    with pytest.raises(SequenceError, match="homology in degree 1") as info:
+        glue.verify_exactness(seq)
+    assert isinstance(info.value, TorsionworksError)
+
+
+def test_torsion_submodule_is_importable():
+    from torsionworks import torsion
+
+    assert callable(torsion.torsion_of)
+    assert callable(torsion.torsion)
