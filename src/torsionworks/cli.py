@@ -7,8 +7,9 @@ with transported bases).
 
 Exit codes: 0 success / verification passed, 1 input error or failed
 verification, 2 rank ambiguity.  Reports are printed with a stable key
-order; ``--json`` emits the same data as JSON.  The environment
-variable TORSIONWORKS_TOL overrides the default tolerance.  Elapsed
+order; ``--json`` emits the same data as JSON.  The rank tolerance is
+``--tol``, else the analysed scenes' ``tolerance``, else the environment
+variable TORSIONWORKS_TOL, else the default.  Elapsed
 time goes to stderr so reports stay byte-identical across runs.
 """
 
@@ -27,7 +28,7 @@ from .algebra import orthonormal_sl2_basis
 from .complexes import homology, twist
 from .errors import RankAmbiguityError, SceneError, TorsionworksError
 from .glue import analyze_disk_sum, verify_multiplicativity, verify_mv_identity
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, PASS_TOL
 from .scenes import parse_scene
 from .torsion import torsion_of
 
@@ -74,9 +75,18 @@ def _load_scene(path: str):
     return scene, digest
 
 
-def _default_tol(args) -> float:
+def _tolerance(args, scenes) -> float:
+    """``--tol``, else the ``tolerance`` set by the analysed ``(path, scene)``
+    pairs (which must agree), else TORSIONWORKS_TOL, else DEFAULT_TOL."""
     if args.tol is not None:
         return args.tol
+    named = [(path, s.tolerance) for path, s in scenes if s.tolerance is not None]
+    for path, value in named[1:]:
+        if value != named[0][1]:
+            raise SceneError(f"scenes {named[0][0]!r} and {path!r} set different "
+                             f"tolerances {named[0][1]:g} and {value:g}")
+    if named:
+        return float(named[0][1])
     env = os.environ.get("TORSIONWORKS_TOL")
     if env:
         try:
@@ -101,8 +111,8 @@ def _scene_h_bases(scene, hd, mode: str):
 
 
 def cmd_torsion(args) -> int:
-    tol = _default_tol(args)
     scene, digest = _load_scene(args.scene)
+    tol = _tolerance(args, [(args.scene, scene)])
     basis = orthonormal_sl2_basis()
     tc = twist(scene.cw, scene.rep, basis, tol)
     hd = homology(tc, tol)
@@ -127,9 +137,9 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_verify_mv(args) -> int:
-    tol = _default_tol(args)
     scene1, digest1 = _load_scene(args.scene1)
     scene2, digest2 = _load_scene(args.scene2)
+    tol = _tolerance(args, [(args.scene1, scene1), (args.scene2, scene2)])
     if scene1.rep.target != scene2.rep.target:
         raise SceneError(
             f"target mismatch: {scene1.rep.target.value} vs {scene2.rep.target.value}"
@@ -156,15 +166,12 @@ def cmd_verify_mv(args) -> int:
 
 
 def cmd_verify_theorem1(args) -> int:
-    tol = _default_tol(args)
     if len(args.scenes) < 2:
         raise SceneError("need at least two scenes")
-    scenes = []
-    digests = []
-    for path in args.scenes:
-        scene, digest = _load_scene(path)
-        scenes.append(scene)
-        digests.append(digest)
+    loaded = [_load_scene(path) for path in args.scenes]
+    scenes = [scene for scene, _ in loaded]
+    digests = [digest for _, digest in loaded]
+    tol = _tolerance(args, list(zip(args.scenes, scenes)))
     targets = {s.rep.target for s in scenes}
     if len(targets) > 1:
         raise SceneError("all scenes must share the same target group")
@@ -223,11 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tol", type=float, default=None,
-                       help="rank tolerance (default 1e-8 or TORSIONWORKS_TOL)")
+                       help="rank tolerance (default: the scenes' tolerance, "
+                            "then TORSIONWORKS_TOL, then 1e-8)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized draws (default 0)")
-        p.add_argument("--pass-tol", type=float, default=1e-6,
-                       help="relative tolerance for verdicts (default 1e-6)")
+        p.add_argument("--pass-tol", type=float, default=PASS_TOL,
+                       help="relative tolerance for verdicts (default %(default)g)")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = sub.add_parser("torsion", help="betti numbers and torsion of one scene")

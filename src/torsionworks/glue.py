@@ -50,7 +50,7 @@ from .complexes import (
     untwisted_betti0,
 )
 from .errors import DiskSumError, HomologyError, SequenceError, TransportError
-from .linalg import DEFAULT_TOL, DEFECT_TOL
+from .linalg import DEFAULT_TOL, DEFECT_TOL, PASS_TOL
 from .scenes import disk
 from .torsion import (
     HomologySplitting,
@@ -183,8 +183,8 @@ def free_product_rep(psi1: Representation, psi2: Representation,
 # chain-level inclusion maps of the gluing
 # ---------------------------------------------------------------------------
 
-def _cell_inclusion(cell_map, total_cells, factor_cells, d):
-    out = np.zeros((total_cells * d, factor_cells * d), dtype=complex)
+def _cell_inclusion(cell_map, total_cells, d):
+    out = np.zeros((total_cells * d, len(cell_map) * d), dtype=complex)
     for j, tj in enumerate(cell_map):
         out[tj * d:(tj + 1) * d, j * d:(j + 1) * d] = np.eye(d)
     return out
@@ -199,15 +199,9 @@ def inclusion_matrices(ds: DiskSumResult, tc1, tc2, tcm):
     """
     d = tcm.d
     maps1, maps2 = ds.cell_maps
-    dim = len(tcm.dims) - 1
-    beta = []
-    for p in range(dim + 1):
-        c1 = tc1.dims[p] // d if p < len(tc1.dims) else 0
-        c2 = tc2.dims[p] // d if p < len(tc2.dims) else 0
-        total = tcm.dims[p] // d
-        j1 = _cell_inclusion(maps1[p] if p < len(maps1) else [], total, c1, d)
-        j2 = _cell_inclusion(maps2[p] if p < len(maps2) else [], total, c2, d)
-        beta.append(np.hstack([j1, j2]))
+    beta = [np.hstack([_cell_inclusion(maps1[p], n // d, d),
+                       _cell_inclusion(maps2[p], n // d, d)])
+            for p, n in enumerate(tcm.dims)]
     alpha = np.zeros((tc1.dims[0] + tc2.dims[0], d), dtype=complex)
     base1 = maps1[0].index(ds.disk_cell)
     base2 = maps2[0].index(ds.disk_cell)
@@ -217,9 +211,7 @@ def inclusion_matrices(ds: DiskSumResult, tc1, tc2, tcm):
     return alpha, beta
 
 
-def _direct_sum_boundary(tc1, tc2, p):
-    a = tc1.boundary(p)
-    b = tc2.boundary(p)
+def _block_diagonal(a, b):
     out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
     out[:a.shape[0], :a.shape[1]] = a
     out[a.shape[0]:, a.shape[1]:] = b
@@ -246,6 +238,22 @@ def _class_coordinates(vectors, h, boundary, tol):
 # ---------------------------------------------------------------------------
 # the 12-space sequence
 # ---------------------------------------------------------------------------
+
+@dataclass
+class GluedPair:
+    """Everything needed to study one disk sum of twisted complexes."""
+
+    ds: DiskSumResult
+    rep: Representation
+    tc1: TwistedChainComplex
+    tc2: TwistedChainComplex
+    tcm: TwistedChainComplex
+    tcd: TwistedChainComplex
+    hd1: HomologyData
+    hd2: HomologyData
+    hdm: HomologyData
+    hdd: HomologyData
+
 
 @dataclass
 class MvSequence:
@@ -290,96 +298,80 @@ class MvSequence:
         return names[kind]
 
 
-def _padded(hlist, degree, dims):
-    if degree < len(hlist):
-        return hlist[degree]
-    return linalg.empty_matrix(dims[degree] if degree < len(dims) else 0)
+def _padded(hlist, dims):
+    """``hlist`` with empty bases appended, one basis per degree."""
+    return [hlist[p] if p < len(hlist)
+            else linalg.empty_matrix(dims[p] if p < len(dims) else 0)
+            for p in range(DEGREES)]
 
 
-def mv_sequence(ds: DiskSumResult, tc1, tc2, tcm, tcd,
-                hd1: HomologyData, hd2: HomologyData,
-                hdm: HomologyData, hdd: HomologyData,
-                h1=None, h2=None, hm=None, hdisk=None,
+def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
                 tol: float = DEFAULT_TOL) -> MvSequence:
-    """Assemble the 12-space sequence in the given homology bases.
+    """Assemble the 12-space sequence of ``pair`` in the given homology bases.
 
-    The maps are induced on homology coordinates: inclusion-induced maps
-    in each degree, plus the connecting map computed by the usual
-    zig-zag (lift along beta, take the boundary, pull back along alpha).
-    Exactness is verified, and the split that ``corrective_term`` and
-    ``transport_bases`` share is built, before returning.
+    Omitted bases are the canonical representatives of ``pair``'s
+    homology data.  The maps are induced on homology coordinates:
+    inclusion-induced maps in each degree, plus the connecting map
+    computed by the usual zig-zag (lift along beta, take the boundary,
+    pull back along alpha).  Exactness is verified, and the split that
+    ``corrective_term`` and ``transport_bases`` share is built, before
+    returning.
     """
-    h1 = [hd1.h_basis[p] for p in range(len(tc1.dims))] if h1 is None else h1
-    h2 = [hd2.h_basis[p] for p in range(len(tc2.dims))] if h2 is None else h2
-    hm = [hdm.h_basis[p] for p in range(len(tcm.dims))] if hm is None else hm
-    hdisk = [hdd.h_basis[0]] if hdisk is None else hdisk
+    tc1, tc2, tcm, tcd = pair.tc1, pair.tc2, pair.tcm, pair.tcd
+    h1 = list(pair.hd1.h_basis if h1 is None else h1)
+    h2 = list(pair.hd2.h_basis if h2 is None else h2)
+    hm = list(pair.hdm.h_basis if hm is None else hm)
+    hdisk = list(pair.hdd.h_basis[:1] if hdisk is None else hdisk)
+    b1, b2 = _padded(h1, tc1.dims), _padded(h2, tc2.dims)
+    bm, bd = _padded(hm, tcm.dims), _padded(hdisk, tcd.dims)
 
-    alpha, beta = inclusion_matrices(ds, tc1, tc2, tcm)
+    alpha, beta = inclusion_matrices(pair.ds, tc1, tc2, tcm)
 
     dims = []
     block_splits = {}
     for p in range(DEGREES):
-        nm = _padded(hm, p, tcm.dims).shape[1]
-        n1 = _padded(h1, p, tc1.dims).shape[1]
-        n2 = _padded(h2, p, tc2.dims).shape[1]
-        nd = _padded(hdisk, p, tcd.dims).shape[1]
-        dims += [nm, n1 + n2, nd]
-        block_splits[3 * p + 1] = (n1, n2)
+        dims += [bm[p].shape[1], b1[p].shape[1] + b2[p].shape[1], bd[p].shape[1]]
+        block_splits[3 * p + 1] = (b1[p].shape[1], b2[p].shape[1])
 
     maps: list[np.ndarray] = [linalg.empty_matrix(0)] * N_SPACES
-
-    def factor_dim(tc, p):
-        return tc.dims[p] if p < len(tc.dims) else 0
-
     for p in range(DEGREES):
         q = 3 * p
         # beta-induced: H_p(M1) (+) H_p(M2) -> H_p(M)
-        src1 = _padded(h1, p, tc1.dims)
-        src2 = _padded(h2, p, tc2.dims)
-        n1, n2 = src1.shape[1], src2.shape[1]
-        mat = np.zeros((dims[q], n1 + n2), dtype=complex)
-        if dims[q] and (n1 or n2):
-            a_dim, b_dim = factor_dim(tc1, p), factor_dim(tc2, p)
-            stacked = np.zeros((a_dim + b_dim, n1 + n2), dtype=complex)
-            stacked[:a_dim, :n1] = src1
-            stacked[a_dim:, n1:] = src2
-            images = beta[p] @ stacked
-            mat = _class_coordinates(images, _padded(hm, p, tcm.dims),
-                                     hdm.boundary_basis[p], tol)
+        mat = np.zeros((dims[q], dims[q + 1]), dtype=complex)
+        if dims[q] and dims[q + 1]:
+            images = beta[p] @ _block_diagonal(b1[p], b2[p])
+            mat = _class_coordinates(images, bm[p], pair.hdm.boundary_basis[p], tol)
         maps[q + 1] = mat
 
         # alpha-induced: H_p(D) -> H_p(M1) (+) H_p(M2)   (degree 0 only)
-        nd = _padded(hdisk, p, tcd.dims).shape[1]
-        mat = np.zeros((dims[q + 1], nd), dtype=complex)
-        if nd:
-            images = alpha @ hdisk[p]
-            c1 = _class_coordinates(images[:tc1.dims[0], :], _padded(h1, 0, tc1.dims),
-                                    hd1.boundary_basis[0], tol)
-            c2 = _class_coordinates(images[tc1.dims[0]:, :], _padded(h2, 0, tc2.dims),
-                                    hd2.boundary_basis[0], tol)
+        mat = np.zeros((dims[q + 1], dims[q + 2]), dtype=complex)
+        if dims[q + 2]:
+            images = alpha @ bd[p]
+            c1 = _class_coordinates(images[:tc1.dims[0], :], b1[0],
+                                    pair.hd1.boundary_basis[0], tol)
+            c2 = _class_coordinates(images[tc1.dims[0]:, :], b2[0],
+                                    pair.hd2.boundary_basis[0], tol)
             mat = np.vstack([c1, c2])
         maps[q + 2] = mat
 
         # connecting map: H_{p+1}(M) -> H_p(D)
         if q + 3 < N_SPACES:
-            src = _padded(hm, p + 1, tcm.dims)
-            mat = np.zeros((dims[q + 2], src.shape[1]), dtype=complex)
-            if src.shape[1] and dims[q + 2]:
-                lift, defect = linalg.min_norm_preimage(beta[p + 1], src, tol)
+            mat = np.zeros((dims[q + 2], dims[q + 3]), dtype=complex)
+            if dims[q + 3] and dims[q + 2]:
+                lift, defect = linalg.min_norm_preimage(beta[p + 1], bm[p + 1], tol)
                 if defect > DEFECT_TOL:
                     raise SequenceError(
                         f"degree {p + 1}: cycles do not lift through the gluing map "
                         f"(defect {defect:.3e})"
                     )
-                bdry = _direct_sum_boundary(tc1, tc2, p + 1) @ lift
+                bdry = _block_diagonal(tc1.boundary(p + 1), tc2.boundary(p + 1)) @ lift
                 pulled, defect = linalg.min_norm_preimage(alpha, bdry, tol)
                 if defect > DEFECT_TOL:
                     raise SequenceError(
                         f"degree {p + 1}: connecting boundary misses the disk image "
                         f"(defect {defect:.3e})"
                     )
-                mat = _class_coordinates(pulled, _padded(hdisk, p, tcd.dims),
-                                         hdd.boundary_basis[p], tol)
+                mat = _class_coordinates(pulled, bd[p], pair.hdd.boundary_basis[p], tol)
             maps[q + 3] = mat
 
     seq = MvSequence(
@@ -387,9 +379,9 @@ def mv_sequence(ds: DiskSumResult, tc1, tc2, tcm, tcd,
         maps=maps,
         bases=[np.eye(n, dtype=complex) for n in dims],
         block_splits=block_splits,
-        h_m=list(hm),
-        h_factors=(list(h1), list(h2)),
-        h_disk=list(hdisk),
+        h_m=hm,
+        h_factors=(h1, h2),
+        h_disk=hdisk,
     )
     _split(seq, tol)
     return seq
@@ -547,20 +539,15 @@ def transport_bases(seq: MvSequence, tol: float = DEFAULT_TOL) -> TransportedBas
         # of the sequence by kappa^((-1)^(q+1)); cancel the residual
         bases[slot][:, 0] *= residual ** ((-1) ** slot)
 
-    h1, h2 = seq.h_factors
-    out1, out2 = [], []
-    for p in range(DEGREES):
-        q = 3 * p + 1
-        n1, n2 = seq.block_splits[q]
-        if p < len(h1):
-            scale = bases[q][:n1, :n1] if n1 else linalg.empty_matrix(0)
-            out1.append(h1[p] @ scale if n1 else h1[p])
-        if p < len(h2):
-            scale = bases[q][n1:, n1:] if n2 else linalg.empty_matrix(0)
-            out2.append(h2[p] @ scale if n2 else h2[p])
+    def rescaled(h, p, factor):
+        n1 = seq.block_splits[3 * p + 1][0]
+        rows = slice(0, n1) if factor == 0 else slice(n1, None)
+        scale = bases[3 * p + 1][rows, rows]
+        return h @ scale if scale.size else h
+
     return TransportedBases(
-        h_m1=out1,
-        h_m2=out2,
+        h_m1=[rescaled(h, p, 0) for p, h in enumerate(seq.h_factors[0])],
+        h_m2=[rescaled(h, p, 1) for p, h in enumerate(seq.h_factors[1])],
         transport_matrices=a_matrices,
         det_a=det_as,
         residual=residual,
@@ -572,37 +559,41 @@ def transport_bases(seq: MvSequence, tol: float = DEFAULT_TOL) -> TransportedBas
 # assembled analyses and verifiers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GluedPair:
-    """Everything needed to study one disk sum of twisted complexes."""
+def _factored(cw: CwComplexData, rep: Representation, basis: LieAlgebraBasis,
+              tol: float) -> tuple[TwistedChainComplex, HomologyData]:
+    tc = twist(cw, rep, basis, tol)
+    return tc, homology(tc, tol)
 
-    ds: DiskSumResult
-    rep: Representation
-    tc1: TwistedChainComplex
-    tc2: TwistedChainComplex
-    tcm: TwistedChainComplex
-    tcd: TwistedChainComplex
-    hd1: HomologyData
-    hd2: HomologyData
-    hdm: HomologyData
-    hdd: HomologyData
+
+def _glue(m1: CwComplexData, rep1: Representation,
+          m2: CwComplexData, rep2: Representation,
+          basis: LieAlgebraBasis, tol: float,
+          prev: GluedPair | None = None) -> GluedPair:
+    """Glue M1 and M2, then twist and factor each complex once.
+
+    ``prev`` is the pair whose glued space is M1.  Its twisted complex,
+    homology and disk are reused rather than rebuilt; without it, M1 and
+    the disk are twisted and factored here.
+    """
+    ds = disk_sum(m1, m2, tol)
+    rep = free_product_rep(rep1, rep2, ds)
+    if prev is None:
+        tc1, hd1 = _factored(m1, rep1, basis, tol)
+        tcd, hdd = _factored(disk(), Representation.trivial(0, rep.n, rep1.target),
+                             basis, tol)
+    else:
+        tc1, hd1, tcd, hdd = prev.tcm, prev.hdm, prev.tcd, prev.hdd
+    tc2, hd2 = _factored(m2, rep2, basis, tol)
+    tcm, hdm = _factored(ds.total, rep, basis, tol)
+    return GluedPair(ds, rep, tc1, tc2, tcm, tcd, hd1, hd2, hdm, hdd)
 
 
 def analyze_disk_sum(m1: CwComplexData, rep1: Representation,
                      m2: CwComplexData, rep2: Representation,
                      basis: LieAlgebraBasis | None = None,
                      tol: float = DEFAULT_TOL) -> GluedPair:
-    basis = basis or orthonormal_sl2_basis()
-    ds = disk_sum(m1, m2, tol)
-    rep = free_product_rep(rep1, rep2, ds)
-    disk_rep = Representation.trivial(0, rep.n, rep1.target)
-    tc1 = twist(m1, rep1, basis, tol)
-    tc2 = twist(m2, rep2, basis, tol)
-    tcm = twist(ds.total, rep, basis, tol)
-    tcd = twist(disk(), disk_rep, basis, tol)
-    return GluedPair(ds, rep, tc1, tc2, tcm, tcd,
-                     homology(tc1, tol), homology(tc2, tol),
-                     homology(tcm, tol), homology(tcd, tol))
+    """Glue M1 and M2 and twist and factor the four complexes of the pair."""
+    return _glue(m1, rep1, m2, rep2, basis or orthonormal_sl2_basis(), tol)
 
 
 def _random_homology_bases(hd: HomologyData, rng) -> list[np.ndarray]:
@@ -639,7 +630,7 @@ class MvIdentityReport:
 
 def verify_mv_identity(pair: GluedPair, draws: int = 10, seed: int = 0,
                        tol: float = DEFAULT_TOL,
-                       pass_tol: float = 1e-6) -> MvIdentityReport:
+                       pass_tol: float = PASS_TOL) -> MvIdentityReport:
     """Check T(M1) T(M2) = T(M) T(D) T(sequence) on random homology bases."""
     rng = np.random.default_rng(seed)
     residuals = []
@@ -649,9 +640,7 @@ def verify_mv_identity(pair: GluedPair, draws: int = 10, seed: int = 0,
         h2 = _random_homology_bases(pair.hd2, rng)
         hm = _random_homology_bases(pair.hdm, rng)
         hdisk = [_random_homology_bases(pair.hdd, rng)[0]]
-        seq = mv_sequence(pair.ds, pair.tc1, pair.tc2, pair.tcm, pair.tcd,
-                          pair.hd1, pair.hd2, pair.hdm, pair.hdd,
-                          h1=h1, h2=h2, hm=hm, hdisk=hdisk, tol=tol)
+        seq = mv_sequence(pair, h1=h1, h2=h2, hm=hm, hdisk=hdisk, tol=tol)
         t1 = torsion_of(pair.tc1, pair.hd1, h1, tol=tol).value
         t2 = torsion_of(pair.tc2, pair.hd2, h2, tol=tol).value
         tm = torsion_of(pair.tcm, pair.hdm, hm, tol=tol).value
@@ -715,7 +704,7 @@ class MultiplicativityReport:
 def verify_multiplicativity(factors, reps, h_m=None, h_disk=None,
                             basis: LieAlgebraBasis | None = None,
                             tol: float = DEFAULT_TOL,
-                            pass_tol: float = 1e-6) -> MultiplicativityReport:
+                            pass_tol: float = PASS_TOL) -> MultiplicativityReport:
     """Verify T(M) = prod T(M_i) for a left-associated disk sum.
 
     The glued manifold's torsion is computed directly in the bases
@@ -723,6 +712,12 @@ def verify_multiplicativity(factors, reps, h_m=None, h_disk=None,
     are then transported down one gluing at a time, and each factor's
     torsion is evaluated in its transported basis; the two code paths
     meet in the final comparison.
+
+    Each complex of the chain is twisted and factored once: each glued
+    space is carried forward as the next step's left factor, and one
+    disk serves every step.  Each torsion is taken once, so a step's
+    ``left_torsion`` is the ``total_torsion`` of the step unfolded after
+    it, whose glued space is that left factor.
     """
     if len(factors) < 2:
         raise DiskSumError("need at least two factors")
@@ -730,39 +725,30 @@ def verify_multiplicativity(factors, reps, h_m=None, h_disk=None,
         raise DiskSumError("one representation required per factor")
     basis = basis or orthonormal_sl2_basis()
 
-    partial = [factors[0]]
-    partial_reps = [reps[0]]
-    pairs: list[GluedPair] = []
-    for k in range(1, len(factors)):
-        pair = analyze_disk_sum(partial[-1], partial_reps[-1], factors[k], reps[k],
-                                basis=basis, tol=tol)
-        pairs.append(pair)
-        partial.append(pair.ds.total)
-        partial_reps.append(pair.rep)
+    pairs = [_glue(factors[0], reps[0], factors[1], reps[1], basis, tol)]
+    for m2, rep2 in zip(factors[2:], reps[2:]):
+        prev = pairs[-1]
+        pairs.append(_glue(prev.ds.total, prev.rep, m2, rep2, basis, tol, prev))
+    left_names = [factors[0].name] + [pair.ds.total.name for pair in pairs[:-1]]
 
     top = pairs[-1]
-    hm = h_m if h_m is not None else [top.hdm.h_basis[p]
-                                      for p in range(len(top.tcm.dims))]
-    total_torsion = torsion_of(top.tcm, top.hdm, hm, tol=tol).value
+    current_h = list(top.hdm.h_basis) if h_m is None else h_m
+    hdisk = [h_disk[0]] if h_disk is not None else [top.hdd.h_basis[0]]
+    total_torsion = torsion_of(top.tcm, top.hdm, current_h, tol=tol).value
+    t_disk = torsion_of(top.tcd, top.hdd, hdisk, tol=tol).value
 
     steps: list[MultiplicativityStep] = []
-    factor_torsions: list[complex] = [complex(1.0)] * len(factors)
-    current_h = hm
+    t_total = total_torsion
     for k in range(len(factors) - 1, 0, -1):
         pair = pairs[k - 1]
-        hdisk = [h_disk[0]] if h_disk is not None else [pair.hdd.h_basis[0]]
-        seq = mv_sequence(pair.ds, pair.tc1, pair.tc2, pair.tcm, pair.tcd,
-                          pair.hd1, pair.hd2, pair.hdm, pair.hdd,
-                          hm=current_h, hdisk=hdisk, tol=tol)
+        seq = mv_sequence(pair, hm=current_h, hdisk=hdisk, tol=tol)
         transported = transport_bases(seq, tol)
         corrective = corrective_term(
             seq.with_bases(transported.coordinate_scalings), tol).value
-        t_total = torsion_of(pair.tcm, pair.hdm, current_h, tol=tol).value
         t_left = torsion_of(pair.tc1, pair.hd1, transported.h_m1, tol=tol).value
         t_right = torsion_of(pair.tc2, pair.hd2, transported.h_m2, tol=tol).value
-        t_disk = torsion_of(pair.tcd, pair.hdd, hdisk, tol=tol).value
         steps.append(MultiplicativityStep(
-            left_name=partial[k - 1].name,
+            left_name=left_names[k - 1],
             right_name=factors[k].name,
             corrective=corrective,
             det_a=transported.det_a,
@@ -771,9 +757,9 @@ def verify_multiplicativity(factors, reps, h_m=None, h_disk=None,
             right_torsion=t_right,
             disk_torsion=t_disk,
         ))
-        factor_torsions[k] = t_right
         current_h = transported.h_m1
-    factor_torsions[0] = steps[-1].left_torsion
+        t_total = t_left
+    factor_torsions = [t_total] + [step.right_torsion for step in reversed(steps)]
 
     return MultiplicativityReport(
         factor_names=[m.name for m in factors],

@@ -16,6 +16,9 @@ DEFAULT_TOL = 1e-8
 # fixed threshold on the relative defect of a solve or a composition
 DEFECT_TOL = DEFAULT_TOL
 
+# default relative tolerance of a verdict, which a caller's pass_tol overrides
+PASS_TOL = 1e-6
+
 # matrices with operator norm below this are the zero map
 ZERO_FLOOR = 1e-11
 
@@ -94,12 +97,13 @@ def complement_in(span, subspace, count, tol):
 def min_norm_preimage(a, targets, tol):
     """Least-squares minimum-norm solve ``a @ x = targets`` column-wise.
 
-    Returns ``(x, residual)`` where residual is the worst column-wise
-    relative defect.
+    Singular values of ``a`` below ``tol`` times the largest are treated
+    as zero.  Returns ``(x, residual)`` where residual is the worst
+    column-wise relative defect.
     """
     if targets.shape[1] == 0:
         return empty_matrix(a.shape[1]), 0.0
-    x, *_ = np.linalg.lstsq(a, targets, rcond=None)
+    x, *_ = np.linalg.lstsq(a, targets, rcond=tol)
     defect = a @ x - targets
     scale = max(operator_norm(targets), 1.0)
     return x, operator_norm(defect) / scale

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadHomologyBasisError, SplittingError
-from .linalg import DEFAULT_TOL, DEFECT_TOL
+from .linalg import DEFAULT_TOL, DEFECT_TOL, PASS_TOL
 
 
 def _as_columns(dims_p, block) -> np.ndarray:
@@ -220,7 +220,7 @@ def _random_section_cycles(tc, hd, rng):
 
 def torsion_independence_check(tc, hd, h_bases=None, trials: int = 20,
                                tol: float = DEFAULT_TOL,
-                               pass_tol: float = 1e-6,
+                               pass_tol: float = PASS_TOL,
                                seed: int = 0) -> IndependenceReport:
     """Recompute torsion under random boundary bases and random sections.
 

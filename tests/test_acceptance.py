@@ -71,8 +71,7 @@ def glued_models():
 
 
 def build_sequence(pair, **kwargs):
-    return mv_sequence(pair.ds, pair.tc1, pair.tc2, pair.tcm, pair.tcd,
-                       pair.hd1, pair.hd2, pair.hdm, pair.hdd, **kwargs)
+    return mv_sequence(pair, **kwargs)
 
 
 def test_criterion_1_disk_normalization():

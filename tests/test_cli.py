@@ -116,6 +116,38 @@ def test_tolerance_env_override(scene_dir, capsys, monkeypatch):
     assert code == 1
 
 
+def test_scene_tolerance_sets_the_rank_tolerance(scene_dir, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "circle2_tol.json"
+    path.write_text(scene_text(circle(), diag_rep(2.0), tolerance=1e-7))
+    monkeypatch.setenv("TORSIONWORKS_TOL", "1e-9")
+    code, out, _ = run_cli(capsys, "torsion", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 1e-7
+    code, out, _ = run_cli(capsys, "verify-mv", scene_dir["circle3"], str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 1e-7
+    code, out, _ = run_cli(capsys, "torsion", scene_dir["circle3"], "--json")
+    assert json.loads(out)["tolerance"] == 1e-9
+
+
+def test_tol_flag_beats_scene_tolerance(tmp_path, capsys):
+    path = tmp_path / "circle2_tol.json"
+    path.write_text(scene_text(circle(), diag_rep(2.0), tolerance=1e-7))
+    code, out, _ = run_cli(capsys, "torsion", str(path), "--json", "--tol", "1e-10")
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 1e-10
+
+
+def test_scenes_with_different_tolerances_are_rejected(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(scene_text(circle(), diag_rep(2.0), tolerance=1e-7))
+    b.write_text(scene_text(circle(), diag_rep(3.0), tolerance=1e-9))
+    code, out, err = run_cli(capsys, "verify-theorem1", str(a), str(b), "--json")
+    assert code == 1
+    assert out == ""
+    assert str(a) in err and str(b) in err
+
+
 # ---------------------------------------------------------------------------
 # verify-mv subcommand
 # ---------------------------------------------------------------------------
@@ -221,6 +253,19 @@ def test_verify_theorem1_h_from_file(scene_dir, tmp_path, capsys):
     report = json.loads(out)
     assert report["verdict"] == "pass"
     assert report["h_from"] == "file"
+
+
+def test_h_file_tolerance_is_not_consulted(scene_dir, tmp_path, capsys):
+    from torsionworks.glue import analyze_disk_sum
+    pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
+    h_path = tmp_path / "total_with_h.json"
+    h_path.write_text(scene_text(pair.ds.total, pair.rep, tolerance=1e-7,
+                                 h_bases={p: pair.hdm.h_basis[p] for p in range(2)}))
+    code, out, _ = run_cli(capsys, "verify-theorem1", scene_dir["circle2"],
+                           scene_dir["circle3"], "--h-from", "file",
+                           "--h-file", str(h_path), "--json")
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 1e-8
 
 
 def test_verify_theorem1_h_from_file_requires_path(scene_dir, capsys):

@@ -33,8 +33,7 @@ def conjugated_diag(lam, g0):
 
 
 def build_sequence(pair, **kwargs):
-    return mv_sequence(pair.ds, pair.tc1, pair.tc2, pair.tcm, pair.tcd,
-                       pair.hd1, pair.hd2, pair.hdm, pair.hdd, **kwargs)
+    return mv_sequence(pair, **kwargs)
 
 
 # ---------------------------------------------------------------------------

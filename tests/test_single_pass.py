@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from torsionworks import glue, linalg
+from torsionworks import glue, linalg, torsion
 from torsionworks.algebra import Representation
 from torsionworks.complexes import TwistedChainComplex, homology, twist
 from torsionworks.errors import HomologyError, SequenceError, TorsionworksError
 from torsionworks.scenes import circle, wedge_of_circles
 
-from conftest import diag_rep, random_sl2, torus
+from conftest import bouquet, diag_rep, random_sl2, torus
 
 
 @pytest.mark.parametrize("name", ["circle", "wedge", "torus"])
@@ -57,6 +57,42 @@ def test_exactness_checked_once_per_sequence(monkeypatch):
     assert report.passed
     assert counts["mv_sequence"] == 2
     assert counts["verify_exactness"] == counts["mv_sequence"]
+
+
+def test_chain_twists_and_factors_each_complex_once(monkeypatch):
+    counts = {"twist": 0, "homology": 0, "build_splitting": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(glue, "twist")
+    counting(glue, "homology")
+    counting(glue, "build_splitting")
+    counting(torsion, "build_splitting")
+    factors = [circle(), wedge_of_circles(2), torus(), bouquet()]
+    reps = [diag_rep(2.0), diag_rep(3.0, 1.5), diag_rep(2.0, 3.0), diag_rep(2.5)]
+    report = glue.verify_multiplicativity(factors, reps)
+    assert report.passed
+    n = len(factors)
+    # each factor, each glued space and the disk once
+    assert counts["twist"] == 2 * n
+    # those 2n complexes and the n - 1 sequences
+    assert counts["homology"] == 3 * n - 1
+    # one torsion per complex and one split per sequence
+    assert counts["build_splitting"] == 3 * n - 1
+
+    # a step's left factor is the glued space of the step unfolded after it
+    assert report.steps[0].total_torsion == report.total_torsion
+    for step, after in zip(report.steps, report.steps[1:]):
+        assert after.total_torsion == step.left_torsion
+    assert report.factor_torsions[0] == report.steps[-1].left_torsion
+    assert len({step.disk_torsion for step in report.steps}) == 1
 
 
 def test_complement_in_span_inside_subspace():

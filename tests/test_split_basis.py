@@ -20,8 +20,7 @@ from conftest import diag_rep, random_sl2
 
 
 def build_sequence(pair, **kwargs):
-    return mv_sequence(pair.ds, pair.tc1, pair.tc2, pair.tcm, pair.tcd,
-                       pair.hd1, pair.hd2, pair.hdm, pair.hdd, **kwargs)
+    return mv_sequence(pair, **kwargs)
 
 
 def gluing_models(rng):

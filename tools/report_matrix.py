@@ -1,12 +1,14 @@
 """Print every CLI report on the sample scenes, for byte-identity checks.
 
 Runs ``torsionworks.cli.main`` in-process on a fixed matrix of commands
-over ``scenes/`` (four scenes give 124 commands):
+over ``scenes/`` (four scenes give 148 commands):
 
 * per scene: ``torsion`` in canonical mode, in file mode and with ``--json``;
 * per ordered pair: ``verify-mv``, ``verify-mv --json --seed 3`` and
   ``verify-theorem1``;
-* per ordered triple: ``verify-theorem1 --json``.
+* per ordered triple: ``verify-theorem1 --json``;
+* per ordering of all the scenes: ``verify-theorem1 --json``, a chain
+  whose glued partial sums are each reused as the next left factor.
 
 For each command it prints the command line, the exit code, stdout and
 stderr without the ``elapsed:`` timing line.  Usage, from the root of a
@@ -46,6 +48,8 @@ def commands(scenes):
         yield ["verify-theorem1", a, b]
     for triple in itertools.product(scenes, repeat=3):
         yield ["verify-theorem1", *triple, "--json"]
+    for ordering in itertools.permutations(scenes):
+        yield ["verify-theorem1", *ordering, "--json"]
 
 
 def run(argv):
