@@ -356,17 +356,13 @@ def adjoint_matrix(rep: Representation, basis: LieAlgebraBasis, word: Word) -> n
     """Matrix of X -> g X g^{-1} in the orthonormal basis, g the word image.
 
     Entry (i, j) is B(a_i, g a_j g^{-1}); the result always has
-    determinant 1.
+    determinant 1.  One stacked product gives all d^2 entries; they are
+    the values ``killing_form`` gives entry by entry, bit for bit.
     """
     g = evaluate_word(rep, word)
-    ginv = np.linalg.inv(g)
-    d = basis.dim
-    out = np.empty((d, d), dtype=complex)
-    for j, aj in enumerate(basis.vectors):
-        conj = g @ aj @ ginv
-        for i, ai in enumerate(basis.vectors):
-            out[i, j] = killing_form(ai, conj)
-    return out
+    a = np.stack(basis.vectors)
+    conj = g @ a @ np.linalg.inv(g)
+    return 4.0 * np.trace(a[:, None] @ conj[None, :], axis1=-2, axis2=-1)
 
 
 class RelatorCheck(NamedTuple):

@@ -183,7 +183,10 @@ def cmd_verify_theorem1(args) -> int:
         if not hscene.h_bases:
             raise SceneError(f"{args.h_file!r} provides no h_bases")
         degrees = max(hscene.h_bases) + 1
-        h_m = [hscene.h_bases.get(p) for p in range(degrees)]
+        missing = [p for p in range(degrees) if p not in hscene.h_bases]
+        if missing:
+            raise SceneError(f"{args.h_file!r} gives no h_bases in degree {missing[0]}")
+        h_m = [hscene.h_bases[p] for p in range(degrees)]
     report_obj = verify_multiplicativity(
         [s.cw for s in scenes], [s.rep for s in scenes],
         h_m=h_m, tol=tol, pass_tol=args.pass_tol,
@@ -228,12 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, seed_help="seed for randomized draws (default 0)"):
         p.add_argument("--tol", type=float, default=None,
                        help="rank tolerance (default: the scenes' tolerance, "
                             "then TORSIONWORKS_TOL, then 1e-8)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized draws (default 0)")
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--pass-tol", type=float, default=PASS_TOL,
                        help="relative tolerance for verdicts (default %(default)g)")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -262,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="source of the glued manifold's homology bases")
     p.add_argument("--h-file", default=None,
                    help="scene file providing h_bases when --h-from file")
-    common(p)
+    common(p, seed_help="recorded in the report only; this command draws "
+                        "nothing at random (default 0)")
     p.set_defaults(func=cmd_verify_theorem1)
     return parser
 

@@ -137,7 +137,7 @@ def twist(cw: CwComplexData, rep: Representation, basis: LieAlgebraBasis,
     Each group-ring entry sum(m_i * gamma_i) becomes the block
     sum(m_i * Ad(gamma_i)).  Consecutive maps must compose to zero
     within tolerance, otherwise the lifts and the representation are
-    inconsistent.
+    inconsistent (checked with the norm bounds of ``linalg``).
     """
     d = basis.dim
     cache: dict[Word, np.ndarray] = {}
@@ -166,8 +166,8 @@ def twist(cw: CwComplexData, rep: Representation, basis: LieAlgebraBasis,
     tc = TwistedChainComplex(d, dims, mats)
     for p in range(1, cw.dimension):
         a, b = tc.boundary(p), tc.boundary(p + 1)
-        resid = linalg.operator_norm(a @ b)
-        scale = 1.0 + linalg.operator_norm(a) * linalg.operator_norm(b)
+        resid = linalg.frobenius_norm(a @ b)
+        scale = 1.0 + linalg.max_column_norm(a) * linalg.max_column_norm(b)
         if resid > tol * scale:
             raise InconsistentLiftsError(
                 f"boundary maps {p} and {p + 1} compose to norm {resid:.3e}; "

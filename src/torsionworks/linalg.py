@@ -4,6 +4,15 @@ All routines work on complex matrices whose "meaningful" scale is O(1);
 a matrix whose largest singular value falls below ``ZERO_FLOOR`` is
 treated as the zero map.  Rank decisions are otherwise relative to the
 largest singular value.
+
+Defect and composition checks take no SVD.  They bound the 2-norm from
+both sides instead: the Frobenius norm of a defect is at least its
+2-norm, and the largest column norm of a scale is at most its 2-norm.
+A check ``frobenius_norm(defect) > tol * max_column_norm(scale)``
+therefore rejects everything the same check in 2-norms rejects.  This
+holds for the composition checks of ``twist`` and ``verify_exactness``,
+the cycle check of ``build_splitting`` and the defect of
+``min_norm_preimage``.
 """
 
 import numpy as np
@@ -34,6 +43,16 @@ def operator_norm(a):
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def frobenius_norm(a):
+    """Frobenius norm, an upper bound on the 2-norm (0 when ``a`` is empty)."""
+    return float(np.linalg.norm(a)) if a.size else 0.0
+
+
+def max_column_norm(a):
+    """Largest column 2-norm, a lower bound on the 2-norm (0 when ``a`` is empty)."""
+    return float(np.linalg.norm(a, axis=0).max()) if a.size else 0.0
 
 
 def svd_rank(sv, tol, check_ambiguity=False):
@@ -98,12 +117,13 @@ def min_norm_preimage(a, targets, tol):
     """Least-squares minimum-norm solve ``a @ x = targets`` column-wise.
 
     Singular values of ``a`` below ``tol`` times the largest are treated
-    as zero.  Returns ``(x, residual)`` where residual is the worst
-    column-wise relative defect.
+    as zero.  Returns ``(x, residual)`` where residual is the Frobenius
+    norm of ``a @ x - targets`` over the larger of 1 and the largest
+    column norm of ``targets``: at least the relative 2-norm defect.
     """
     if targets.shape[1] == 0:
         return empty_matrix(a.shape[1]), 0.0
     x, *_ = np.linalg.lstsq(a, targets, rcond=tol)
     defect = a @ x - targets
-    scale = max(operator_norm(targets), 1.0)
-    return x, operator_norm(defect) / scale
+    scale = max(max_column_norm(targets), 1.0)
+    return x, frobenius_norm(defect) / scale

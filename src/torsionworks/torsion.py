@@ -70,8 +70,8 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
                 f"degree {p}: {h.shape[1]} homology vectors supplied, betti is {hd.betti[p]}"
             )
         if h.shape[1]:
-            cycle_defect = linalg.operator_norm(tc.boundary(p) @ h)
-            if cycle_defect > tol * max(1.0, linalg.operator_norm(h)):
+            cycle_defect = linalg.frobenius_norm(tc.boundary(p) @ h)
+            if cycle_defect > tol * max(1.0, linalg.max_column_norm(h)):
                 raise BadHomologyBasisError(
                     f"degree {p}: supplied vectors are not cycles (defect {cycle_defect:.3e})"
                 )

@@ -217,6 +217,37 @@ def test_adjoint_homomorphism_unimodular(w1, w2):
     assert abs(np.linalg.det(a12) - 1.0) < 1e-9
 
 
+def killing_form_adjoint(rep, basis, word):
+    """Entry (i, j) = B(a_i, g a_j g^{-1}), one ``killing_form`` call each."""
+    g = evaluate_word(rep, word)
+    ginv = np.linalg.inv(g)
+    out = np.empty((basis.dim, basis.dim), dtype=complex)
+    for j, aj in enumerate(basis.vectors):
+        conj = g @ aj @ ginv
+        for i, ai in enumerate(basis.vectors):
+            out[i, j] = killing_form(ai, conj)
+    return out
+
+
+sl2_strategy = st.tuples(
+    *[st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)) for _ in range(4)]
+).map(lambda t: np.array(t, dtype=complex).reshape(2, 2)).filter(
+    lambda m: abs(np.linalg.det(m)) > 0.1
+).map(lambda m: m / np.sqrt(np.linalg.det(m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(sl2_strategy, min_size=3, max_size=3),
+       st.sampled_from(list(Target)), words_strategy)
+def test_adjoint_matrix_equals_killing_form_definition(images, target, word):
+    rep = Representation(target, 2, tuple(images))
+    basis = orthonormal_sl2_basis()
+    got = adjoint_matrix(rep, basis, word)
+    want = killing_form_adjoint(rep, basis, word)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # check_representation
 # ---------------------------------------------------------------------------

@@ -273,3 +273,32 @@ def test_verify_theorem1_h_from_file_requires_path(scene_dir, capsys):
                            scene_dir["circle3"], "--h-from", "file")
     assert code == 1
     assert "h-file" in err
+
+
+def test_h_file_skipping_a_degree_is_an_input_error(scene_dir, tmp_path, capsys):
+    from torsionworks.glue import analyze_disk_sum
+    pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
+    h_path = tmp_path / "total_degree1_only.json"
+    h_path.write_text(scene_text(pair.ds.total, pair.rep,
+                                 h_bases={1: pair.hdm.h_basis[1]}))
+    code, out, err = run_cli(capsys, "verify-theorem1", scene_dir["circle2"],
+                             scene_dir["circle3"], "--h-from", "file",
+                             "--h-file", str(h_path))
+    assert code == 1
+    assert out == ""
+    assert "degree 0" in err and str(h_path) in err
+
+
+def test_verify_theorem1_seed_is_only_recorded(scene_dir, capsys):
+    code, out, _ = run_cli(capsys, "verify-theorem1", "--help")
+    assert code == 0
+    assert "recorded in the report only" in " ".join(out.split())
+    reports = []
+    for seed in ("0", "7"):
+        code, out, _ = run_cli(capsys, "verify-theorem1", scene_dir["circle2"],
+                               scene_dir["circle3"], "--json", "--seed", seed)
+        assert code == 0
+        report = json.loads(out)
+        assert report.pop("seed") == int(seed)
+        reports.append(report)
+    assert reports[0] == reports[1]

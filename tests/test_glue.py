@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from torsionworks import glue
 from torsionworks.algebra import (
     GroupPresentation,
     Representation,
     Target,
     Word,
+    orthonormal_sl2_basis,
 )
-from torsionworks.complexes import CwComplexData, euler_characteristic
+from torsionworks.complexes import CwComplexData, euler_characteristic, twist
 from torsionworks.errors import DiskSumError, SequenceError
 from torsionworks.glue import (
     MvSequence,
@@ -24,7 +26,7 @@ from torsionworks.linalg import matrix_rank
 from torsionworks.scenes import circle, point, wedge_of_circles
 from torsionworks.torsion import torsion_of
 
-from conftest import diag_rep, random_sl2
+from conftest import bouquet, diag_rep, random_sl2, torus
 
 
 def conjugated_diag(lam, g0):
@@ -419,3 +421,67 @@ def test_transport_per_degree_determinants_clean_regime():
     result = corrective_term(seq.with_bases(transported.coordinate_scalings))
     for p, det in enumerate(result.per_degree_determinants):
         assert det == pytest.approx(1.0, abs=1e-9), (p, det)
+
+
+# ---------------------------------------------------------------------------
+# the glued complex placed from its factors' blocks
+# ---------------------------------------------------------------------------
+
+def gluing_models():
+    rng = np.random.default_rng(21)
+    psl = Representation(Target.PSL, 2, (random_sl2(rng),))
+    return [
+        (point(), Representation.trivial(0)),
+        (circle(), diag_rep(2.0)),
+        (circle(), Representation.from_images([random_sl2(rng)])),
+        (circle(), psl),
+        (wedge_of_circles(2), Representation.from_images([random_sl2(rng),
+                                                          random_sl2(rng)])),
+        (wedge_of_circles(3), Representation.from_images([random_sl2(rng)
+                                                          for _ in range(3)])),
+        (torus(), diag_rep(2.0, 3.0)),
+        (bouquet(), diag_rep(2.5)),
+    ]
+
+
+def assert_twist_of_total(tc, ds, rep):
+    reference = twist(ds.total, rep, orthonormal_sl2_basis())
+    assert tc.d == reference.d and tc.dims == reference.dims
+    assert len(tc.mats) == len(reference.mats)
+    for placed, twisted in zip(tc.mats, reference.mats):
+        assert placed.dtype == twisted.dtype
+        assert np.array_equal(placed, twisted)
+
+
+def test_placed_complex_is_the_twist_of_the_glued_data():
+    models = gluing_models()
+    for m1, r1 in models:
+        for m2, r2 in models:
+            if r1.target != r2.target:
+                continue
+            pair = analyze_disk_sum(m1, r1, m2, r2)
+            assert_twist_of_total(pair.tcm, pair.ds, pair.rep)
+
+
+def test_placed_complex_on_every_partial_sum_of_a_chain(monkeypatch):
+    rng = np.random.default_rng(22)
+    factors = [circle(), wedge_of_circles(2), torus(), bouquet()]
+    reps = [Representation.from_images([random_sl2(rng)]),
+            Representation.from_images([random_sl2(rng), random_sl2(rng)]),
+            diag_rep(2.0, 3.0), diag_rep(2.5)]
+    placed = []
+    original = glue.placed_complex
+
+    def recording(ds, tc1, tc2):
+        tc = original(ds, tc1, tc2)
+        placed.append((ds, tc))
+        return tc
+
+    monkeypatch.setattr(glue, "placed_complex", recording)
+    # with generic images the factor product can come out as minus the
+    # total (a known sign defect); only the placement is checked here
+    verify_multiplicativity(factors, reps)
+    assert len(placed) == len(factors) - 1
+    for k, (ds, tc) in enumerate(placed, start=2):
+        images = [img for rep in reps[:k] for img in rep.images]
+        assert_twist_of_total(tc, ds, Representation.from_images(images))

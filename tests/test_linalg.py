@@ -1,8 +1,40 @@
-"""Rank-revealing helpers of ``linalg``."""
+"""Rank-revealing helpers of ``linalg`` and the norm bounds of the checks.
+
+Every defect and composition check compares a Frobenius norm (at least
+the 2-norm) with a scale made of largest column norms (at most the
+2-norm).  The threshold tests build an input whose 2-norm test fails by
+a relative margin of 1e-6, just past its threshold, and require the
+check to raise.
+"""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from torsionworks import linalg
+from torsionworks import glue, linalg
+from torsionworks.algebra import Representation, orthonormal_sl2_basis
+from torsionworks.complexes import homology, twist
+from torsionworks.errors import (
+    BadHomologyBasisError,
+    InconsistentLiftsError,
+    SequenceError,
+)
+from torsionworks.scenes import wedge_of_circles
+from torsionworks.torsion import build_splitting
+
+from conftest import random_sl2, torus
+
+# rounding slack of the bracket; the bounds are exact in real arithmetic
+ULPS = 1e-12
+
+# how far past its threshold the 2-norm test of each input is pushed
+PAST = 1e-6
+
+
+def two_norm(a):
+    return float(np.linalg.norm(a, 2))
 
 
 def test_min_norm_preimage_honors_tol():
@@ -13,3 +45,162 @@ def test_min_norm_preimage_honors_tol():
     x, defect = linalg.min_norm_preimage(a, targets, 1e-12)
     assert np.allclose(x, [[0.0], [1.0]], atol=1e-9)
     assert defect < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the two bounds bracket the 2-norm
+# ---------------------------------------------------------------------------
+
+# zero or between 1e-100 and 1e6 in modulus, so that no square under- or
+# overflows
+reals = st.floats(-1e6, 1e6).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+entries = st.builds(complex, reals, reals)
+shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=7)
+
+
+def dense(shape):
+    return hnp.arrays(complex, shape, elements=entries)
+
+
+def assert_brackets(a):
+    two = two_norm(a)
+    assert linalg.max_column_norm(a) <= two * (1 + ULPS)
+    assert two <= linalg.frobenius_norm(a) * (1 + ULPS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes.flatmap(dense))
+def test_bounds_bracket_two_norm(a):
+    assert_brackets(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(dense), st.integers(1, 7).flatmap(dense))
+def test_bounds_bracket_two_norm_rank_one(u, v):
+    a = np.outer(u, v.conj())
+    assert_brackets(a)
+    # a rank-1 matrix has one singular value: the upper bound is attained
+    assert linalg.frobenius_norm(a) == pytest.approx(two_norm(a), rel=ULPS, abs=0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (1, 6), (6, 1), (2, 7), (7, 2)])
+def test_bounds_of_zero_and_tall_wide_matrices(shape):
+    zero = np.zeros(shape, dtype=complex)
+    assert linalg.frobenius_norm(zero) == linalg.max_column_norm(zero) == 0.0
+    a = np.arange(1, shape[0] * shape[1] + 1).reshape(shape) * (1 - 2j)
+    assert_brackets(a)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_bounds_of_empty_matrices(shape):
+    empty = np.zeros(shape, dtype=complex)
+    assert linalg.frobenius_norm(empty) == linalg.max_column_norm(empty) == 0.0
+    assert linalg.operator_norm(empty) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# each check still raises just past its 2-norm threshold
+# ---------------------------------------------------------------------------
+
+def just_past(ratio, threshold, eps=1e-8):
+    """A perturbation size at which ``ratio(eps) / threshold`` is 1 + PAST.
+
+    ``ratio`` is the 2-norm test statistic of a check as a function of
+    the size of the perturbation; it is close to linear for small sizes.
+    """
+    for _ in range(6):
+        eps *= threshold * (1 + PAST) / ratio(eps)
+    assert threshold < ratio(eps) < threshold * (1 + 2 * PAST)
+    return eps
+
+
+def test_twist_rejects_lifts_just_past_the_threshold():
+    # the torus relator holds only for commuting images; a shear of size
+    # delta breaks it by a composition of norm proportional to delta
+    basis = orthonormal_sl2_basis()
+    a = np.diag([2.0, 0.5]).astype(complex)
+
+    def rep(delta):
+        shear = np.array([[1.0, delta], [0.0, 1.0]], dtype=complex)
+        b = shear @ np.diag([3.0, 1 / 3.0]) @ np.linalg.inv(shear)
+        return Representation.from_images([a, b])
+
+    def ratio(delta):
+        tc = twist(torus(), rep(delta), basis, tol=1.0)
+        d1, d2 = tc.boundary(1), tc.boundary(2)
+        return two_norm(d1 @ d2) / (1.0 + two_norm(d1) * two_norm(d2))
+
+    tol = 1e-8
+    delta = just_past(ratio, tol)
+    with pytest.raises(InconsistentLiftsError):
+        twist(torus(), rep(delta), basis, tol=tol)
+
+
+def test_build_splitting_rejects_non_cycles_just_past_the_threshold():
+    rng = np.random.default_rng(11)
+    basis = orthonormal_sl2_basis()
+    rep = Representation.from_images([random_sl2(rng), random_sl2(rng)])
+    tc = twist(wedge_of_circles(2), rep, basis)
+    hd = homology(tc)
+    cycles = hd.h_basis[1] @ (rng.normal(size=(3, 3)) + 4.0 * np.eye(3))
+    noise = rng.normal(size=cycles.shape) + 1j * rng.normal(size=cycles.shape)
+    d1 = tc.boundary(1)
+
+    def supplied(eps):
+        return cycles + eps * noise
+
+    def ratio(eps):
+        h = supplied(eps)
+        return two_norm(d1 @ h) / max(1.0, two_norm(h))
+
+    tol = 1e-8
+    eps = just_past(ratio, tol)
+    with pytest.raises(BadHomologyBasisError, match="not cycles"):
+        build_splitting(tc, hd, [hd.h_basis[0], supplied(eps)], tol=tol)
+
+
+def sequence_with(dout, din):
+    """An MvSequence whose only maps are ``din``: 3 -> 2 and ``dout``: 2 -> 1."""
+    dims = [0] * glue.N_SPACES
+    dims[1], dims[2], dims[3] = dout.shape[0], dout.shape[1], din.shape[1]
+    maps = [np.zeros((dims[p - 1] if p else 0, dims[p]), dtype=complex)
+            for p in range(glue.N_SPACES)]
+    maps[2], maps[3] = dout, din
+    return glue.MvSequence(
+        dims=dims, maps=maps, bases=[np.eye(n, dtype=complex) for n in dims],
+        block_splits={}, h_m=[], h_factors=([], []), h_disk=[])
+
+
+def test_verify_exactness_rejects_compositions_just_past_the_threshold():
+    rng = np.random.default_rng(12)
+    dout = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    dout[2] = dout[0] + dout[1]  # rank 2, so the kernel has dimension 3
+    kernel, _ = linalg.kernel_and_image(dout, linalg.DEFAULT_TOL)
+    exact = kernel @ (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+    noise = rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape)
+
+    def ratio(eps):
+        din = exact + eps * noise
+        return two_norm(dout @ din) / (1.0 + two_norm(dout) * two_norm(din))
+
+    eps = just_past(ratio, linalg.DEFECT_TOL)
+    with pytest.raises(SequenceError, match="compose"):
+        glue.verify_exactness(sequence_with(dout, exact + eps * noise))
+
+
+def test_min_norm_preimage_defect_just_past_the_threshold():
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    reachable = a @ (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
+    # off the column space of a: no solve reaches it
+    off = rng.normal(size=reachable.shape) + 1j * rng.normal(size=reachable.shape)
+    q, _ = np.linalg.qr(a)
+    off -= q @ (q.conj().T @ off)
+
+    def ratio(eps):
+        targets = reachable + eps * off
+        return two_norm(eps * off) / max(two_norm(targets), 1.0)
+
+    eps = just_past(ratio, linalg.DEFECT_TOL)
+    _, defect = linalg.min_norm_preimage(a, reachable + eps * off, linalg.DEFAULT_TOL)
+    assert defect > linalg.DEFECT_TOL

@@ -80,9 +80,9 @@ def test_chain_twists_and_factors_each_complex_once(monkeypatch):
     report = glue.verify_multiplicativity(factors, reps)
     assert report.passed
     n = len(factors)
-    # each factor, each glued space and the disk once
-    assert counts["twist"] == 2 * n
-    # those 2n complexes and the n - 1 sequences
+    # each factor and the disk once; the glued spaces are placed, not twisted
+    assert counts["twist"] == n + 1
+    # the n factors, the n - 1 glued spaces, the disk and the n - 1 sequences
     assert counts["homology"] == 3 * n - 1
     # one torsion per complex and one split per sequence
     assert counts["build_splitting"] == 3 * n - 1
@@ -139,3 +139,19 @@ def test_torsion_submodule_is_importable():
 
     assert callable(torsion.torsion_of)
     assert callable(torsion.torsion)
+
+
+def test_chain_takes_no_matrix_two_norm(monkeypatch):
+    two_norms = []
+    norm = np.linalg.norm
+
+    def recording_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            two_norms.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+    factors = [circle(), wedge_of_circles(2), torus(), bouquet()]
+    reps = [diag_rep(2.0), diag_rep(3.0, 1.5), diag_rep(2.0, 3.0), diag_rep(2.5)]
+    assert glue.verify_multiplicativity(factors, reps).passed
+    assert two_norms == []
