@@ -104,10 +104,11 @@ def _scene_h_bases(scene, hd, mode: str):
         return None
     if not scene.h_bases:
         raise SceneError("scene provides no h_bases but file mode was requested")
-    out = []
-    for p in range(len(hd.betti)):
-        out.append(scene.h_bases.get(p))
-    return out
+    missing = [p for p, k in enumerate(hd.betti) if k and p not in scene.h_bases]
+    if missing:
+        p = missing[0]
+        raise SceneError(f"scene gives no h_bases in degree {p}, where betti is {hd.betti[p]}")
+    return [scene.h_bases.get(p) for p in range(len(hd.betti))]
 
 
 def cmd_torsion(args) -> int:

@@ -7,7 +7,13 @@ twisted complexes
 
     0 -> C(D) --(i1, -i2)--> C(M1) (+) C(M2) --j1 + j2--> C(M) -> 0
 
-whose homology long exact sequence, read right to left, is the 12-space
+The map beta = j1 + j2 only relabels cells (a bijection above degree 0),
+so it is never a matrix here: the glued complex and every beta-induced
+map are placements at the coordinates ``DiskSumResult.cell_maps`` gives.
+Alpha = (i1, -i2) embeds the disk's one cell in both factors; it is a
+small matrix, and the connecting map solves against it.
+
+The homology long exact sequence, read right to left, is the 12-space
 acyclic complex used here:
 
     space 3p   : H_p(M)
@@ -180,18 +186,12 @@ def free_product_rep(psi1: Representation, psi2: Representation,
 
 
 # ---------------------------------------------------------------------------
-# chain-level inclusion maps of the gluing
+# the gluing as cell placement
 # ---------------------------------------------------------------------------
 
 def _coordinates(cell_map, d):
     """Glued coordinate indices of a factor's cells, d per cell."""
     return (np.asarray(cell_map, dtype=int)[:, None] * d + np.arange(d)).ravel()
-
-
-def _cell_inclusion(cell_map, total_cells, d):
-    out = np.zeros((total_cells * d, len(cell_map) * d), dtype=complex)
-    out[_coordinates(cell_map, d), np.arange(len(cell_map) * d)] = 1.0
-    return out
 
 
 def placed_complex(ds: DiskSumResult, tc1: TwistedChainComplex,
@@ -215,34 +215,6 @@ def placed_complex(ds: DiskSumResult, tc1: TwistedChainComplex,
             big[np.ix_(rows, cols)] = tc.boundary(p)
         mats.append(big)
     return TwistedChainComplex(d, [m * d for m in cells], mats)
-
-
-def inclusion_matrices(ds: DiskSumResult, tc1, tc2, tcm):
-    """Twisted chain maps of the gluing sequence.
-
-    Returns ``(alpha, beta)``: ``alpha`` maps the disk chains into the
-    direct sum as (v, -v) on the shared 0-cell; ``beta[p]`` maps the
-    direct sum onto the glued complex as j1 + j2.
-    """
-    d = tcm.d
-    maps1, maps2 = ds.cell_maps
-    beta = [np.hstack([_cell_inclusion(maps1[p], n // d, d),
-                       _cell_inclusion(maps2[p], n // d, d)])
-            for p, n in enumerate(tcm.dims)]
-    alpha = np.zeros((tc1.dims[0] + tc2.dims[0], d), dtype=complex)
-    base1 = maps1[0].index(ds.disk_cell)
-    base2 = maps2[0].index(ds.disk_cell)
-    alpha[base1 * d:(base1 + 1) * d, :] = np.eye(d)
-    start2 = tc1.dims[0] + base2 * d
-    alpha[start2:start2 + d, :] = -np.eye(d)
-    return alpha, beta
-
-
-def _block_diagonal(a, b):
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[:a.shape[0], :a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
 
 
 def _class_coordinates(vectors, h, boundary, tol):
@@ -340,7 +312,12 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
     homology data.  The maps are induced on homology coordinates:
     inclusion-induced maps in each degree, plus the connecting map
     computed by the usual zig-zag (lift along beta, take the boundary,
-    pull back along alpha).  Exactness is verified, and the split that
+    pull back along alpha).  Beta only relabels cells, so its maps are
+    placements at the coordinates of ``ds.cell_maps``: a factor's
+    cycles are written there, and a cycle of M lifts by reading its
+    factors' coordinates back, which is exact above degree 0.  Alpha,
+    (v, -v) on the shared 0-cell, is a small matrix the pull-back solves
+    against.  Exactness is verified, and the split that
     ``corrective_term`` and ``transport_bases`` share is built, before
     returning.
     """
@@ -352,7 +329,15 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
     b1, b2 = _padded(h1, tc1.dims), _padded(h2, tc2.dims)
     bm, bd = _padded(hm, tcm.dims), _padded(hdisk, tcd.dims)
 
-    alpha, beta = inclusion_matrices(pair.ds, tc1, tc2, tcm)
+    ds, d = pair.ds, tcm.d
+    at1, at2 = [[_coordinates(cells, d) for cells in maps] for maps in ds.cell_maps]
+    # alpha: the disk's chains into C_0(M1) (+) C_0(M2), (v, -v) on the shared cell
+    n1 = tc1.dims[0]
+    alpha = np.zeros((n1 + tc2.dims[0], d), dtype=complex)
+    base1 = ds.cell_maps[0][0].index(ds.disk_cell) * d
+    base2 = n1 + ds.cell_maps[1][0].index(ds.disk_cell) * d
+    alpha[base1:base1 + d] = np.eye(d)
+    alpha[base2:base2 + d] = -np.eye(d)
 
     dims = []
     block_splits = {}
@@ -366,7 +351,10 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
         # beta-induced: H_p(M1) (+) H_p(M2) -> H_p(M)
         mat = np.zeros((dims[q], dims[q + 1]), dtype=complex)
         if dims[q] and dims[q + 1]:
-            images = beta[p] @ _block_diagonal(b1[p], b2[p])
+            k1 = b1[p].shape[1]
+            images = np.zeros((tcm.dims[p], dims[q + 1]), dtype=complex)
+            images[at1[p], :k1] = b1[p]
+            images[at2[p], k1:] = b2[p]
             mat = _class_coordinates(images, bm[p], pair.hdm.boundary_basis[p], tol)
         maps[q + 1] = mat
 
@@ -374,9 +362,9 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
         mat = np.zeros((dims[q + 1], dims[q + 2]), dtype=complex)
         if dims[q + 2]:
             images = alpha @ bd[p]
-            c1 = _class_coordinates(images[:tc1.dims[0], :], b1[0],
+            c1 = _class_coordinates(images[:n1, :], b1[0],
                                     pair.hd1.boundary_basis[0], tol)
-            c2 = _class_coordinates(images[tc1.dims[0]:, :], b2[0],
+            c2 = _class_coordinates(images[n1:, :], b2[0],
                                     pair.hd2.boundary_basis[0], tol)
             mat = np.vstack([c1, c2])
         maps[q + 2] = mat
@@ -385,13 +373,9 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
         if q + 3 < N_SPACES:
             mat = np.zeros((dims[q + 2], dims[q + 3]), dtype=complex)
             if dims[q + 3] and dims[q + 2]:
-                lift, defect = linalg.min_norm_preimage(beta[p + 1], bm[p + 1], tol)
-                if defect > DEFECT_TOL:
-                    raise SequenceError(
-                        f"degree {p + 1}: cycles do not lift through the gluing map "
-                        f"(defect {defect:.3e})"
-                    )
-                bdry = _block_diagonal(tc1.boundary(p + 1), tc2.boundary(p + 1)) @ lift
+                z = bm[p + 1]
+                bdry = np.vstack([tc1.boundary(p + 1) @ z[at1[p + 1]],
+                                  tc2.boundary(p + 1) @ z[at2[p + 1]]])
                 pulled, defect = linalg.min_norm_preimage(alpha, bdry, tol)
                 if defect > DEFECT_TOL:
                     raise SequenceError(

@@ -209,6 +209,12 @@ def parse_scene(text: str) -> Scene:
         except ValueError:
             raise SceneError(f"h_bases key {key!r} is not a degree",
                              where="h_bases") from None
+        if vecs == []:
+            if not 0 <= degree < len(cells):
+                raise SceneError(f"h_bases degree {degree} has no chain group",
+                                 where="h_bases")
+            h_bases[degree] = np.zeros((cells[degree] * (n * n - 1), 0), dtype=complex)
+            continue
         block = _complex_from_json(vecs, f"h_bases[{key}]")
         if block.ndim == 1:
             block = block.reshape(1, -1)

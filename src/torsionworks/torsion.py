@@ -75,9 +75,7 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
                 raise BadHomologyBasisError(
                     f"degree {p}: supplied vectors are not cycles (defect {cycle_defect:.3e})"
                 )
-            stacked = np.hstack([hd.boundary_basis[p], h])
-            rank = linalg.matrix_rank(stacked, tol)
-            if rank != hd.boundary_basis[p].shape[1] + h.shape[1]:
+            if not _independent(np.hstack([hd.boundary_basis[p], h]), tol):
                 raise BadHomologyBasisError(
                     f"degree {p}: homology classes are dependent modulo boundaries"
                 )
@@ -105,13 +103,19 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
                 f"degree {p}: split basis has {m.shape[1]} vectors in a "
                 f"{m.shape[0]}-dimensional chain group"
             )
-        if m.shape[0]:
-            # column scales are legitimate degrees of freedom; only
-            # genuine dependence should fail the rank check
-            norms = np.linalg.norm(m, axis=0)
-            if np.any(norms == 0) or linalg.matrix_rank(m / norms, tol) < m.shape[0]:
-                raise SplittingError(f"degree {p}: split basis is singular")
+        if m.shape[0] and not _independent(m, tol):
+            raise SplittingError(f"degree {p}: split basis is singular")
     return split
+
+
+def _independent(m, tol) -> bool:
+    """Whether the columns of ``m`` are linearly independent.
+
+    Column scales are legitimate degrees of freedom, so the rank is
+    taken of the unit-norm columns: only genuine dependence fails.
+    """
+    norms = np.linalg.norm(m, axis=0)
+    return bool(np.all(norms > 0)) and linalg.matrix_rank(m / norms, tol) == m.shape[1]
 
 
 def assembled_matrix(tc, split: HomologySplitting, p: int) -> np.ndarray:

@@ -1,4 +1,8 @@
+import importlib.util
 import json
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from torsionworks.algebra import Representation, Target
 from torsionworks.cli import main
 from torsionworks.scenes import circle, point, scene_text, wedge_of_circles
 
-from conftest import diag_rep
+from conftest import diag_rep, random_sl2
 
 
 @pytest.fixture
@@ -82,6 +86,19 @@ def test_torsion_file_mode_requires_bases(scene_dir, capsys):
                            "--h-basis-mode", "file")
     assert code == 1
     assert "h_bases" in err
+
+
+def test_torsion_file_mode_omitting_a_degree_is_an_input_error(tmp_path, capsys):
+    from torsionworks.complexes import homology, twist
+    from torsionworks.algebra import orthonormal_sl2_basis
+    cw, rep = circle(), diag_rep(2.0)
+    hd = homology(twist(cw, rep, orthonormal_sl2_basis()))
+    path = tmp_path / "degree0_only.json"
+    path.write_text(scene_text(cw, rep, h_bases={0: hd.h_basis[0]}))
+    code, out, err = run_cli(capsys, "torsion", str(path), "--h-basis-mode", "file")
+    assert code == 1
+    assert out == ""
+    assert "degree 1" in err
 
 
 def test_torsion_rank_ambiguity_exit_code(tmp_path, capsys):
@@ -287,6 +304,58 @@ def test_h_file_skipping_a_degree_is_an_input_error(scene_dir, tmp_path, capsys)
     assert code == 1
     assert out == ""
     assert "degree 0" in err and str(h_path) in err
+
+
+def test_h_file_with_an_empty_degree_matches_canonical(tmp_path, capsys):
+    from torsionworks.glue import analyze_disk_sum
+    rng = np.random.default_rng(31)
+    wedge_rep = Representation.from_images([random_sl2(rng), random_sl2(rng)])
+    circle_rep = Representation.from_images([random_sl2(rng)])
+    pair = analyze_disk_sum(wedge_of_circles(2), wedge_rep, circle(), circle_rep)
+    assert pair.hdm.betti[0] == 0
+    paths = []
+    for name, cw, rep in (("wedge", wedge_of_circles(2), wedge_rep),
+                          ("circle", circle(), circle_rep)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(scene_text(cw, rep))
+        paths.append(str(path))
+    h_path = tmp_path / "total_with_h.json"
+    h_path.write_text(scene_text(pair.ds.total, pair.rep,
+                                 h_bases={p: pair.hdm.h_basis[p] for p in range(2)}))
+    reports = []
+    for extra in (["--h-from", "canonical"], ["--h-from", "file", "--h-file", str(h_path)]):
+        code, out, _ = run_cli(capsys, "verify-theorem1", *paths, "--json", *extra)
+        reports.append((code, json.loads(out)))
+    (code0, canonical), (code1, from_file) = reports
+    assert code0 == code1
+    assert from_file["total_torsion"] == canonical["total_torsion"]
+    assert from_file["verdict"] == canonical["verdict"]
+
+
+def test_report_matrix_exit_codes(monkeypatch):
+    # every command of tools/report_matrix.py over scenes/, in process:
+    # the four file-mode torsion runs lack h_bases, everything else passes
+    root = Path(__file__).resolve().parent.parent
+    # importing the script sets BLAS thread variables and prepends src/
+    # to sys.path; both are restored after the test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "report_matrix", root / "tools" / "report_matrix.py")
+    report_matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_matrix)
+    monkeypatch.chdir(root)
+    scenes = sorted(f"scenes/{p.name}" for p in (root / "scenes").glob("*.json"))
+    outcomes = [(argv, *report_matrix.run(argv)) for argv in report_matrix.commands(scenes)]
+    assert len(outcomes) == 148
+    file_mode = [o for o in outcomes if "--h-basis-mode" in o[0]]
+    assert len(file_mode) == 4
+    for argv, code, _, err in file_mode:
+        assert code == 1 and "provides no h_bases" in err, argv
+    for argv, code, _, err in outcomes:
+        if "--h-basis-mode" not in argv:
+            assert code == 0, (argv, err)
 
 
 def test_verify_theorem1_seed_is_only_recorded(scene_dir, capsys):

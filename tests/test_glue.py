@@ -22,7 +22,7 @@ from torsionworks.glue import (
     verify_multiplicativity,
     verify_mv_identity,
 )
-from torsionworks.linalg import matrix_rank
+from torsionworks.linalg import DEFAULT_TOL, DEFECT_TOL, matrix_rank, min_norm_preimage
 from torsionworks.scenes import circle, point, wedge_of_circles
 from torsionworks.torsion import torsion_of
 
@@ -363,6 +363,15 @@ def test_multiplicativity_mixed_trivial():
     assert report.passed
 
 
+def test_multiplicativity_eight_circles_with_distinct_eigenvalues():
+    # the transported degree-0 column is rescaled at every unfold step;
+    # the dependence check of build_splitting must not read a column's
+    # scale as dependence
+    report = verify_multiplicativity(
+        [circle() for _ in range(8)], [diag_rep(float(lam)) for lam in range(2, 10)])
+    assert report.passed
+
+
 def test_multiplicativity_requires_two_factors():
     with pytest.raises(DiskSumError):
         verify_multiplicativity([circle()], [diag_rep(2.0)])
@@ -485,3 +494,87 @@ def test_placed_complex_on_every_partial_sum_of_a_chain(monkeypatch):
     for k, (ds, tc) in enumerate(placed, start=2):
         images = [img for rep in reps[:k] for img in rep.images]
         assert_twist_of_total(tc, ds, Representation.from_images(images))
+
+
+# ---------------------------------------------------------------------------
+# the gluing maps as cell placement
+# ---------------------------------------------------------------------------
+
+def dense_inclusion_maps(pair, tol=DEFAULT_TOL):
+    """The maps of ``mv_sequence(pair)``, with the gluing as dense matrices.
+
+    beta = j1 + j2 is a 0/1 matrix applied to the block-diagonal factor
+    bases, and a cycle of M is lifted through it by a least-squares
+    solve; alpha is (v, -v) on the shared 0-cell.
+    """
+    tc1, tc2, tcm, tcd = pair.tc1, pair.tc2, pair.tcm, pair.tcd
+    d = tcm.d
+    maps1, maps2 = pair.ds.cell_maps
+
+    def inclusion(cell_map, rows):
+        out = np.zeros((rows, len(cell_map) * d), dtype=complex)
+        coords = (np.asarray(cell_map, dtype=int)[:, None] * d + np.arange(d)).ravel()
+        out[coords, np.arange(len(cell_map) * d)] = 1.0
+        return out
+
+    def block_diagonal(a, b):
+        out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
+        out[:a.shape[0], :a.shape[1]] = a
+        out[a.shape[0]:, a.shape[1]:] = b
+        return out
+
+    beta = [np.hstack([inclusion(maps1[p], n), inclusion(maps2[p], n)])
+            for p, n in enumerate(tcm.dims)]
+    alpha = np.zeros((tc1.dims[0] + tc2.dims[0], d), dtype=complex)
+    base1 = maps1[0].index(pair.ds.disk_cell) * d
+    base2 = tc1.dims[0] + maps2[0].index(pair.ds.disk_cell) * d
+    alpha[base1:base1 + d] = np.eye(d)
+    alpha[base2:base2 + d] = -np.eye(d)
+
+    b1, b2 = glue._padded(pair.hd1.h_basis, tc1.dims), glue._padded(pair.hd2.h_basis, tc2.dims)
+    bm, bd = glue._padded(pair.hdm.h_basis, tcm.dims), glue._padded(pair.hdd.h_basis[:1], tcd.dims)
+    dims = []
+    for p in range(glue.DEGREES):
+        dims += [bm[p].shape[1], b1[p].shape[1] + b2[p].shape[1], bd[p].shape[1]]
+    maps = [np.zeros((0, 0), dtype=complex)] * glue.N_SPACES
+    for p in range(glue.DEGREES):
+        q = 3 * p
+        maps[q + 1] = np.zeros((dims[q], dims[q + 1]), dtype=complex)
+        if dims[q] and dims[q + 1]:
+            images = beta[p] @ block_diagonal(b1[p], b2[p])
+            maps[q + 1] = glue._class_coordinates(
+                images, bm[p], pair.hdm.boundary_basis[p], tol)
+        maps[q + 2] = np.zeros((dims[q + 1], dims[q + 2]), dtype=complex)
+        if dims[q + 2]:
+            images = alpha @ bd[p]
+            maps[q + 2] = np.vstack([
+                glue._class_coordinates(images[:tc1.dims[0]], b1[0],
+                                        pair.hd1.boundary_basis[0], tol),
+                glue._class_coordinates(images[tc1.dims[0]:], b2[0],
+                                        pair.hd2.boundary_basis[0], tol)])
+        if q + 3 < glue.N_SPACES:
+            maps[q + 3] = np.zeros((dims[q + 2], dims[q + 3]), dtype=complex)
+            if dims[q + 3] and dims[q + 2]:
+                lift, defect = min_norm_preimage(beta[p + 1], bm[p + 1], tol)
+                assert defect <= DEFECT_TOL
+                bdry = block_diagonal(tc1.boundary(p + 1), tc2.boundary(p + 1)) @ lift
+                pulled, defect = min_norm_preimage(alpha, bdry, tol)
+                assert defect <= DEFECT_TOL
+                maps[q + 3] = glue._class_coordinates(
+                    pulled, bd[p], pair.hdd.boundary_basis[p], tol)
+    return maps
+
+
+def test_placed_gluing_maps_equal_the_dense_inclusion_maps():
+    # point, circle, generic wedge_2, generic wedge_3, torus and bouquet
+    models = gluing_models()
+    models = models[:2] + models[4:]
+    for m1, r1 in models:
+        for m2, r2 in models:
+            pair = analyze_disk_sum(m1, r1, m2, r2)
+            seq = mv_sequence(pair)
+            reference = dense_inclusion_maps(pair)
+            for q, (placed, dense) in enumerate(zip(seq.maps, reference)):
+                assert placed.shape == dense.shape, (m1.name, m2.name, q)
+                assert placed.dtype == dense.dtype
+                assert np.array_equal(placed, dense), (m1.name, m2.name, q)

@@ -4,6 +4,7 @@ import pytest
 from torsionworks.algebra import Representation, Target, Word
 from torsionworks.complexes import homology, twist
 from torsionworks.errors import SceneError
+from torsionworks.glue import analyze_disk_sum
 from torsionworks.scenes import (
     circle,
     diagonal_representation,
@@ -18,7 +19,7 @@ from torsionworks.scenes import (
 )
 from torsionworks.torsion import torsion_of
 
-from conftest import diag_rep
+from conftest import diag_rep, random_sl2
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +128,21 @@ def test_round_trip_h_bases_and_tolerance(basis):
     assert scene.tolerance == 1e-9
     for p in (0, 1):
         assert np.allclose(scene.h_bases[p], h_bases[p])
+
+
+def test_round_trip_empty_homology_basis():
+    rng = np.random.default_rng(32)
+    pair = analyze_disk_sum(
+        wedge_of_circles(2), Representation.from_images([random_sl2(rng), random_sl2(rng)]),
+        circle(), Representation.from_images([random_sl2(rng)]))
+    assert pair.hdm.betti[0] == 0
+    h_bases = {p: pair.hdm.h_basis[p] for p in range(2)}
+    text = scene_text(pair.ds.total, pair.rep, h_bases=h_bases)
+    assert '"0": []' in text
+    scene = parse_scene(text)
+    assert scene.h_bases[0].shape == (3, 0)
+    assert np.array_equal(scene.h_bases[1], h_bases[1])
+    assert scene_text(scene.cw, scene.rep, h_bases=scene.h_bases) == text
 
 
 def test_round_trip_relators():

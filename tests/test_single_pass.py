@@ -1,5 +1,8 @@
 """One factorization per boundary map, one exactness check per sequence."""
 
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
@@ -75,11 +78,31 @@ def test_chain_twists_and_factors_each_complex_once(monkeypatch):
     counting(glue, "homology")
     counting(glue, "build_splitting")
     counting(torsion, "build_splitting")
+
+    # the solves mv_sequence makes itself, each with its glued pair
+    solves = []
+    sequence_code, min_norm_preimage = glue.mv_sequence.__code__, linalg.min_norm_preimage
+
+    def recording_solve(a, targets, tol):
+        caller = sys._getframe(1)
+        if caller.f_code is sequence_code:
+            solves.append((a.shape[1], caller.f_locals["pair"]))
+        return min_norm_preimage(a, targets, tol)
+
+    monkeypatch.setattr(linalg, "min_norm_preimage", recording_solve)
     factors = [circle(), wedge_of_circles(2), torus(), bouquet()]
     reps = [diag_rep(2.0), diag_rep(3.0, 1.5), diag_rep(2.0, 3.0), diag_rep(2.5)]
     report = glue.verify_multiplicativity(factors, reps)
     assert report.passed
     n = len(factors)
+    # a cycle of M lifts to the factors by reading its coordinates; no
+    # solve is as wide as a chain group C_p(M), p >= 1, of both factors' cells
+    assert solves
+    for width, pair in solves:
+        dims = itertools.zip_longest(pair.tcm.dims, pair.tc1.dims, pair.tc2.dims,
+                                     fillvalue=0)
+        glued = [n for p, (n, n1, n2) in enumerate(dims) if p and n1 and n2]
+        assert width not in glued, (width, pair.ds.total.name)
     # each factor and the disk once; the glued spaces are placed, not twisted
     assert counts["twist"] == n + 1
     # the n factors, the n - 1 glued spaces, the disk and the n - 1 sequences
