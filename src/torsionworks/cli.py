@@ -141,10 +141,6 @@ def cmd_verify_mv(args) -> int:
     scene1, digest1 = _load_scene(args.scene1)
     scene2, digest2 = _load_scene(args.scene2)
     tol = _tolerance(args, [(args.scene1, scene1), (args.scene2, scene2)])
-    if scene1.rep.target != scene2.rep.target:
-        raise SceneError(
-            f"target mismatch: {scene1.rep.target.value} vs {scene2.rep.target.value}"
-        )
     pair = analyze_disk_sum(scene1.cw, scene1.rep, scene2.cw, scene2.rep, tol=tol)
     outcome = verify_mv_identity(pair, draws=args.random_bases, seed=args.seed,
                                  tol=tol, pass_tol=args.pass_tol)
@@ -173,9 +169,6 @@ def cmd_verify_theorem1(args) -> int:
     scenes = [scene for scene, _ in loaded]
     digests = [digest for _, digest in loaded]
     tol = _tolerance(args, list(zip(args.scenes, scenes)))
-    targets = {s.rep.target for s in scenes}
-    if len(targets) > 1:
-        raise SceneError("all scenes must share the same target group")
     h_m = None
     if args.h_from == "file":
         if args.h_file is None:
@@ -235,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed_help="seed for randomized draws (default 0)"):
         p.add_argument("--tol", type=float, default=None,
                        help="rank tolerance (default: the scenes' tolerance, "
-                            "then TORSIONWORKS_TOL, then 1e-8)")
+                            f"then TORSIONWORKS_TOL, then {DEFAULT_TOL:g})")
         p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--pass-tol", type=float, default=PASS_TOL,
                        help="relative tolerance for verdicts (default %(default)g)")

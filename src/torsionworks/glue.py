@@ -10,8 +10,8 @@ twisted complexes
 The map beta = j1 + j2 only relabels cells (a bijection above degree 0),
 so it is never a matrix here: the glued complex and every beta-induced
 map are placements at the coordinates ``DiskSumResult.cell_maps`` gives.
-Alpha = (i1, -i2) embeds the disk's one cell in both factors; it is a
-small matrix, and the connecting map solves against it.
+Alpha = (i1, -i2) embeds the disk's one cell as cell 0 of each factor;
+it is a small matrix, and the connecting map solves against it.
 
 The homology long exact sequence, read right to left, is the 12-space
 acyclic complex used here:
@@ -20,7 +20,8 @@ acyclic complex used here:
     space 3p+1 : H_p(M1) (+) H_p(M2)
     space 3p+2 : H_p(D)          (zero above degree 0)
 
-The torsion of that sequence in assigned homology bases is the
+``MvSequence`` holds it as a based complex with its split basis, built
+once.  The torsion of that sequence in assigned homology bases is the
 corrective term; with the bases produced by ``transport_bases`` it
 equals 1 exactly, which reduces the gluing formula
 
@@ -92,7 +93,6 @@ class DiskSumResult:
 
     total: CwComplexData
     cell_maps: tuple[list[list[int]], list[list[int]]]
-    disk_cell: int
     generator_maps: tuple[list[int], list[int]]
 
 
@@ -165,7 +165,6 @@ def disk_sum(m1: CwComplexData, m2: CwComplexData,
     return DiskSumResult(
         total=total,
         cell_maps=(maps1, maps2),
-        disk_cell=0,
         generator_maps=(list(range(g1)), [g1 + j for j in range(g2)]),
     )
 
@@ -258,26 +257,19 @@ class GluedPair:
 class MvSequence:
     """The homology long exact sequence of a disk sum, as a based complex.
 
-    Coordinates of every space are taken in the homology bases recorded
-    in ``h_m``, ``h_factors`` and ``h_disk`` (cycle-vector columns), so
-    the maps are plain matrices and the default assigned bases are
-    identities.  ``block_splits[q]`` records how the direct-sum spaces
-    at index q = 3p+1 divide between the two factors.
-
-    The sequence's split, one per tolerance, is computed once and shared
-    with every ``with_bases`` copy: the copies have the same maps, and
-    the split does not depend on the assigned bases.
+    Each space's coordinates are taken in homology bases (cycle-vector
+    columns), so the maps are plain matrices and the default assigned
+    bases are identities.  In the direct-sum space 3p+1 the coordinates
+    of ``h_factors[0][p]`` come first and those of ``h_factors[1][p]``
+    last.  ``mv_sequence`` builds ``split`` once and ``with_bases`` copies
+    carry it: they have the same maps, and the split ignores the bases.
     """
 
     dims: list[int]
     maps: list[np.ndarray]
     bases: list[np.ndarray]
-    block_splits: dict[int, tuple[int, int]]
-    h_m: list[np.ndarray]
     h_factors: tuple[list[np.ndarray], list[np.ndarray]]
-    h_disk: list[np.ndarray]
-    _splits: dict[float, HomologySplitting] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    split: HomologySplitting | None = None
 
     def boundary(self, p: int) -> np.ndarray:
         if 1 <= p <= N_SPACES - 1:
@@ -287,9 +279,7 @@ class MvSequence:
         return np.zeros((self.dims[-1] if p == N_SPACES else 0, 0), dtype=complex)
 
     def with_bases(self, bases) -> "MvSequence":
-        copy = replace(self, bases=[np.asarray(b, dtype=complex) for b in bases])
-        copy._splits = self._splits
-        return copy
+        return replace(self, bases=[np.asarray(b, dtype=complex) for b in bases])
 
     def label(self, p: int) -> str:
         i, kind = divmod(p, 3)
@@ -318,8 +308,8 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
     factors' coordinates back, which is exact above degree 0.  Alpha,
     (v, -v) on the shared 0-cell, is a small matrix the pull-back solves
     against.  Exactness is verified, and the split that
-    ``corrective_term`` and ``transport_bases`` share is built, before
-    returning.
+    ``corrective_term`` and ``transport_bases`` share is built at
+    ``tol`` and stored in ``split``, before returning.
     """
     tc1, tc2, tcm, tcd = pair.tc1, pair.tc2, pair.tcm, pair.tcd
     h1 = list(pair.hd1.h_basis if h1 is None else h1)
@@ -331,19 +321,15 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
 
     ds, d = pair.ds, tcm.d
     at1, at2 = [[_coordinates(cells, d) for cells in maps] for maps in ds.cell_maps]
-    # alpha: the disk's chains into C_0(M1) (+) C_0(M2), (v, -v) on the shared cell
+    # alpha: C(D) -> C_0(M1) (+) C_0(M2), (v, -v) on cell 0 of each factor
     n1 = tc1.dims[0]
     alpha = np.zeros((n1 + tc2.dims[0], d), dtype=complex)
-    base1 = ds.cell_maps[0][0].index(ds.disk_cell) * d
-    base2 = n1 + ds.cell_maps[1][0].index(ds.disk_cell) * d
-    alpha[base1:base1 + d] = np.eye(d)
-    alpha[base2:base2 + d] = -np.eye(d)
+    alpha[:d] = np.eye(d)
+    alpha[n1:n1 + d] = -np.eye(d)
 
     dims = []
-    block_splits = {}
     for p in range(DEGREES):
         dims += [bm[p].shape[1], b1[p].shape[1] + b2[p].shape[1], bd[p].shape[1]]
-        block_splits[3 * p + 1] = (b1[p].shape[1], b2[p].shape[1])
 
     maps: list[np.ndarray] = [linalg.empty_matrix(0)] * N_SPACES
     for p in range(DEGREES):
@@ -385,15 +371,8 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
                 mat = _class_coordinates(pulled, bd[p], pair.hdd.boundary_basis[p], tol)
             maps[q + 3] = mat
 
-    seq = MvSequence(
-        dims=dims,
-        maps=maps,
-        bases=[np.eye(n, dtype=complex) for n in dims],
-        block_splits=block_splits,
-        h_m=hm,
-        h_factors=(h1, h2),
-        h_disk=hdisk,
-    )
+    seq = MvSequence(dims=dims, maps=maps, h_factors=(h1, h2),
+                     bases=[np.eye(n, dtype=complex) for n in dims])
     _split(seq, tol)
     return seq
 
@@ -450,13 +429,15 @@ def _split_boundary_bases(seq: MvSequence, images: list[np.ndarray]) -> list[np.
 
 
 def _split(seq: MvSequence, tol: float) -> HomologySplitting:
-    """Exactness check and split b_q | s_q(b_{q-1}), once per tolerance."""
-    if tol not in seq._splits:
+    """Exactness check and split b_q | s_q(b_{q-1}), built once per sequence.
+    ``tol`` applies only to a hand-built sequence: ``mv_sequence`` splits
+    at the tolerance it builds with."""
+    if seq.split is None:
         hd = verify_exactness(seq, tol)
-        seq._splits[tol] = build_splitting(
+        seq.split = build_splitting(
             seq, hd, tol=tol,
             boundary_bases=_split_boundary_bases(seq, hd.boundary_basis))
-    return seq._splits[tol]
+    return seq.split
 
 
 def corrective_term(seq: MvSequence, tol: float = DEFAULT_TOL) -> TorsionResult:
@@ -541,7 +522,7 @@ def transport_bases(seq: MvSequence, tol: float = DEFAULT_TOL) -> TransportedBas
     residual = corrective_term(seq.with_bases(bases), tol).value
     slot = next((3 * p + 1 for p in range(DEGREES) if seq.dims[3 * p + 1]), None)
     if slot is None:
-        if abs(residual - 1.0) > 1e-6:
+        if abs(residual - 1.0) > PASS_TOL:
             raise TransportError(
                 f"corrective term {residual} cannot be normalized: "
                 "no nonzero direct-sum space"
@@ -552,8 +533,8 @@ def transport_bases(seq: MvSequence, tol: float = DEFAULT_TOL) -> TransportedBas
         bases[slot][:, 0] *= residual ** ((-1) ** slot)
 
     def rescaled(h, p, factor):
-        n1 = seq.block_splits[3 * p + 1][0]
-        rows = slice(0, n1) if factor == 0 else slice(n1, None)
+        k, n = h.shape[1], seq.dims[3 * p + 1]
+        rows = slice(0, k) if factor == 0 else slice(n - k, n)
         scale = bases[3 * p + 1][rows, rows]
         return h @ scale if scale.size else h
 

@@ -34,6 +34,10 @@ ZERO_FLOOR = 1e-11
 # a singular value within this factor of the cutoff is ambiguous
 AMBIGUITY_FACTOR = 10.0
 
+# a norm below this may have lost squares of entries to underflow, so it
+# is taken again on the entries divided by the largest modulus
+UNDERFLOW_FLOOR = 1e-150
+
 
 def empty_matrix(rows, cols=0):
     return np.zeros((rows, cols), dtype=complex)
@@ -45,14 +49,23 @@ def operator_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
+def _without_underflow(norm, a):
+    """``norm(a)``, taken again on ``a`` over its largest modulus when it
+    falls below ``UNDERFLOW_FLOOR``, where squares of entries underflow."""
+    n = norm(a)
+    s = float(np.abs(a).max(initial=0.0)) if n < UNDERFLOW_FLOOR else 0.0
+    return s * norm(a / s) if s else n
+
+
 def frobenius_norm(a):
     """Frobenius norm, an upper bound on the 2-norm (0 when ``a`` is empty)."""
-    return float(np.linalg.norm(a)) if a.size else 0.0
+    return _without_underflow(lambda m: float(np.linalg.norm(m)), a)
 
 
 def max_column_norm(a):
     """Largest column 2-norm, a lower bound on the 2-norm (0 when ``a`` is empty)."""
-    return float(np.linalg.norm(a, axis=0).max()) if a.size else 0.0
+    return _without_underflow(
+        lambda m: float(np.linalg.norm(m, axis=0).max(initial=0.0)), a)
 
 
 def svd_rank(sv, tol, check_ambiguity=False):

@@ -12,6 +12,7 @@ the grammar.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,8 @@ from .errors import SceneError
 from .linalg import DEFAULT_TOL
 
 MAX_NAMED_GENERATORS = 26
+MAX_COEFFICIENT = 2 ** 53  # so that every coefficient is an exact float
+IMAGE_SHAPE = (2, 2)  # the library twists by the adjoint representation of SL2
 
 
 # ---------------------------------------------------------------------------
@@ -72,18 +75,15 @@ def word_to_string(word: Word) -> str:
 
 
 def _element_from_json(terms, generator_count, where):
-    try:
-        parsed = []
-        for item in terms:
-            coeff, text = item
-            if not isinstance(coeff, int):
-                raise SceneError(f"coefficient {coeff!r} is not an integer",
-                                 where=where)
-            parsed.append((word_from_string(text, generator_count), coeff))
-        return GroupRingElement.from_terms(parsed)
-    except (TypeError, ValueError) as exc:
-        raise SceneError(f"malformed group-ring entry at {where}: {exc}",
-                         where=where) from exc
+    # type(...) is int: a JSON boolean is not a coefficient
+    if not isinstance(terms, list) or not all(
+            isinstance(item, list) and len(item) == 2 and type(item[0]) is int
+            and abs(item[0]) <= MAX_COEFFICIENT and isinstance(item[1], str)
+            for item in terms):
+        raise SceneError(f"malformed group-ring entry at {where}: expected "
+                         "[integer coefficient up to 2^53, word] pairs", where=where)
+    return GroupRingElement.from_terms(
+        (word_from_string(text, generator_count), coeff) for coeff, text in terms)
 
 
 def _element_to_json(elem: GroupRingElement):
@@ -91,10 +91,15 @@ def _element_to_json(elem: GroupRingElement):
 
 
 def _complex_from_json(arr, where):
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape[-1] != 2:
-        raise SceneError(f"complex numbers must be [re, im] pairs at {where}",
-                         where=where)
+    try:
+        arr = np.asarray(arr)
+        ok = (arr.dtype.kind in "iuf" and arr.ndim > 0 and arr.shape[-1] == 2
+              and np.isfinite(arr).all())
+    except ValueError:  # a ragged nesting
+        ok = False
+    if not ok:
+        raise SceneError(f"complex numbers must be [re, im] pairs of finite numbers "
+                         f"at {where}", where=where)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -130,32 +135,35 @@ def parse_scene(text: str) -> Scene:
     if not isinstance(doc, dict):
         raise SceneError("scene document must be a JSON object")
 
-    def need(key, types):
-        if key not in doc:
+    def get(key, types, default=None, required=False):
+        """``doc[key]`` checked against ``types``; null counts as absent."""
+        val = doc.get(key)
+        if val is None and required:
             raise SceneError(f"missing required field {key!r}", where=key)
-        val = doc[key]
-        if not isinstance(val, types):
+        if val is not None and (not isinstance(val, types) or isinstance(val, bool)):
             raise SceneError(f"field {key!r} has the wrong type", where=key)
-        return val
+        return default if val is None else val
 
-    name = doc.get("name", "scene")
-    gens = need("generators", int)
+    name = get("name", str, "scene")
+    gens = get("generators", int, required=True)
     if gens < 0 or gens > MAX_NAMED_GENERATORS:
         raise SceneError(f"generator count {gens} outside 0..{MAX_NAMED_GENERATORS}",
                          where="generators")
-    relator_strings = doc.get("relators", [])
+    relator_strings = get("relators", list, [])
+    if not all(isinstance(r, str) for r in relator_strings):
+        raise SceneError("relators must be word strings", where="relators")
     relators = tuple(word_from_string(r, gens) for r in relator_strings)
     try:
         pres = GroupPresentation(gens, relators)
     except ValueError as exc:
         raise SceneError(f"bad presentation: {exc}", where="relators") from exc
 
-    cells = need("cells", list)
-    if not cells or not all(isinstance(m, int) and m >= 0 for m in cells):
+    cells = get("cells", list, required=True)
+    if not cells or not all(type(m) is int and m >= 0 for m in cells):
         raise SceneError("cells must be a nonempty list of nonnegative integers",
                          where="cells")
 
-    raw_boundaries = doc.get("boundaries", [])
+    raw_boundaries = get("boundaries", list, [])
     if len(raw_boundaries) != len(cells) - 1:
         raise SceneError(
             f"{len(raw_boundaries)} boundary matrices for {len(cells)} cell layers",
@@ -163,7 +171,8 @@ def parse_scene(text: str) -> Scene:
     boundaries = []
     for p, grid in enumerate(raw_boundaries, start=1):
         rows, cols = cells[p - 1], cells[p]
-        if len(grid) != rows or any(len(r) != cols for r in grid):
+        if not isinstance(grid, list) or len(grid) != rows or any(
+                not isinstance(r, list) or len(r) != cols for r in grid):
             raise SceneError(
                 f"boundary {p} is not a {rows}x{cols} grid", where=f"boundaries[{p - 1}]")
         entries = [
@@ -179,48 +188,51 @@ def parse_scene(text: str) -> Scene:
     except Exception as exc:
         raise SceneError(f"inconsistent complex data: {exc}") from exc
 
-    target_text = doc.get("target", "SL")
+    target_text = get("target", str, "SL")
     try:
         target = Target(target_text)
     except ValueError:
         raise SceneError(f"unknown target {target_text!r}", where="target") from None
-    raw_images = need("images", list)
+    raw_images = get("images", list, required=True)
     if len(raw_images) != gens:
         raise SceneError(f"{len(raw_images)} images for {gens} generators",
                          where="images")
     images = [_complex_from_json(m, f"images[{k}]") for k, m in enumerate(raw_images)]
     for k, m in enumerate(images):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise SceneError(f"image {k} is not a square matrix", where=f"images[{k}]")
-    n = images[0].shape[0] if images else 2
+        if m.shape != IMAGE_SHAPE:
+            raise SceneError(f"image {k} is not a 2x2 matrix", where=f"images[{k}]")
+    n = IMAGE_SHAPE[0]
     rep = Representation(target, n, tuple(images))
 
-    tolerance = doc.get("tolerance")
-    if tolerance is not None and (not isinstance(tolerance, (int, float))
-                                  or not np.isfinite(tolerance) or tolerance <= 0):
+    tolerance = get("tolerance", (int, float))
+    if tolerance is not None and not 0 < tolerance <= sys.float_info.max:
         raise SceneError("tolerance must be a positive finite number",
                          where="tolerance")
     tol = float(tolerance) if tolerance is not None else DEFAULT_TOL
 
     h_bases = {}
-    for key, vecs in (doc.get("h_bases") or {}).items():
+    for key, vecs in get("h_bases", dict, {}).items():
         try:
             degree = int(key)
         except ValueError:
-            raise SceneError(f"h_bases key {key!r} is not a degree",
-                             where="h_bases") from None
+            degree = None
+        if key != str(degree):  # one spelling per degree: not "00", "+1" or " 1"
+            raise SceneError(f"h_bases key {key!r} is not a degree", where="h_bases")
+        if not 0 <= degree < len(cells):
+            raise SceneError(f"h_bases degree {degree} has no chain group",
+                             where="h_bases")
+        length = cells[degree] * (n * n - 1)
         if vecs == []:
-            if not 0 <= degree < len(cells):
-                raise SceneError(f"h_bases degree {degree} has no chain group",
-                                 where="h_bases")
-            h_bases[degree] = np.zeros((cells[degree] * (n * n - 1), 0), dtype=complex)
+            h_bases[degree] = np.zeros((length, 0), dtype=complex)
             continue
-        block = _complex_from_json(vecs, f"h_bases[{key}]")
-        if block.ndim == 1:
-            block = block.reshape(1, -1)
+        block = np.atleast_2d(_complex_from_json(vecs, f"h_bases[{key}]"))
+        if block.ndim != 2 or block.shape[1] != length:
+            raise SceneError(f"h_bases degree {degree} needs vectors of length {length}",
+                             where=f"h_bases[{key}]")
         h_bases[degree] = block.T.copy()
 
-    bad = [r for r in rep.determinant_residuals() if r > tol]
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the test below
+        bad = [r for r in rep.determinant_residuals() if not r <= tol]
     if bad:
         raise SceneError(f"images are not unimodular (det residuals {bad})",
                          where="images")

@@ -165,6 +165,40 @@ def test_scenes_with_different_tolerances_are_rejected(tmp_path, capsys):
     assert str(a) in err and str(b) in err
 
 
+# each malformed variant of the circle scene at diag(2, 1/2): key, value
+MALFORMED = {
+    "h_bases_as_a_list": ("h_bases", [[[1.0, 0.0]] * 3]),
+    "ragged_h_bases": ("h_bases", {"0": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]}),
+    "non_numeric_h_bases": ("h_bases", {"0": [[["x", 0.0]] * 3]}),
+    "non_numeric_images": ("images", [[["a", "b"], ["c", "d"]]]),
+    "relator_not_a_string": ("relators", [5]),
+    "1x1_image": ("images", [[[[1.0, 0.0]]]]),
+    "3x3_image": ("images", [[[[float(i == j), 0.0] for j in range(3)] for i in range(3)]]),
+    "image_whose_determinant_is_nan": (
+        "images", [[[[1.7e308, 0.0], [1.7e308, 0.0]], [[1.7e308, 0.0], [-1.7e308, 0.0]]]]),
+    "boolean_generators": ("generators", True),
+    "boolean_cell_count": ("cells", [1, True]),
+    "boolean_tolerance": ("tolerance", True),
+    "tolerance_beyond_the_float_range": ("tolerance", 10 ** 400),
+    "h_bases_degree_above_the_complex": ("h_bases", {"5": [[[1.0, 0.0]] * 3]}),
+    "negative_h_bases_degree": ("h_bases", {"-1": [[[1.0, 0.0]] * 3]}),
+    "h_bases_degree_spelt_with_a_leading_zero": ("h_bases", {"00": [[[1.0, 0.0]] * 3]}),
+}
+
+
+@pytest.mark.parametrize("key, value", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_scene_is_an_input_error(tmp_path, capsys, key, value):
+    doc = json.loads(scene_text(circle(), diag_rep(2.0)))
+    doc[key] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    for mode in ("canonical", "file"):
+        code, out, err = run_cli(capsys, "torsion", str(path), "--h-basis-mode", mode)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify-mv subcommand
 # ---------------------------------------------------------------------------
@@ -194,6 +228,17 @@ def test_verify_mv_target_mismatch(scene_dir, capsys):
                            scene_dir["circle3_psl"])
     assert code == 1
     assert "target" in err
+
+
+@pytest.mark.parametrize("command", ["verify-mv", "verify-theorem1"])
+def test_target_mismatch_is_reported_by_the_gluing(scene_dir, capsys, command):
+    # the disk sum's free product of representations names both targets
+    for first, second, names in (("circle2", "circle3_psl", "SL vs PSL"),
+                                 ("circle3_psl", "circle2", "PSL vs SL")):
+        code, out, err = run_cli(capsys, command, scene_dir[first], scene_dir[second])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: target mismatch: {names}\n"
 
 
 def test_verify_mv_seeded_determinism(scene_dir, capsys):

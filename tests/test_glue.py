@@ -77,7 +77,6 @@ def test_disk_sum_generator_and_cell_maps():
     maps1, maps2 = ds.cell_maps
     assert maps1[0] == [0] and maps2[0] == [0]
     assert maps1[1] == [0, 1] and maps2[1] == [2]
-    assert ds.disk_cell == 0
 
 
 def test_disk_sum_relators_remapped():
@@ -203,8 +202,7 @@ def test_sequence_exactness_suite():
 def test_sequence_rejects_inconsistent_maps():
     pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
     seq = build_sequence(pair)
-    broken = MvSequence(seq.dims, list(seq.maps), seq.bases, seq.block_splits,
-                        seq.h_m, seq.h_factors, seq.h_disk)
+    broken = MvSequence(seq.dims, list(seq.maps), seq.bases, seq.h_factors)
     broken.maps[1] = np.zeros_like(seq.maps[1])  # kill the gluing map
     with pytest.raises(SequenceError):
         corrective_term(broken)
@@ -218,8 +216,7 @@ def make_zero_sequence():
     dims = [0] * 12
     maps = [np.zeros((0, 0), dtype=complex)] * 12
     bases = [np.zeros((0, 0), dtype=complex)] * 12
-    return MvSequence(dims, maps, bases, {3 * p + 1: (0, 0) for p in range(4)},
-                      [], ([], []), [])
+    return MvSequence(dims, maps, bases, ([], []))
 
 
 def test_corrective_term_zero_sequence_is_one():
@@ -369,6 +366,15 @@ def test_multiplicativity_eight_circles_with_distinct_eigenvalues():
     # scale as dependence
     report = verify_multiplicativity(
         [circle() for _ in range(8)], [diag_rep(float(lam)) for lam in range(2, 10)])
+    assert report.passed
+
+
+@pytest.mark.xfail(strict=True, raises=SequenceError,
+                   reason="the transported degree-0 column shrinks by det A at every "
+                          "unfold step, and the class-coordinate solve then misses it")
+def test_multiplicativity_twelve_circles_with_distinct_eigenvalues():
+    report = verify_multiplicativity(
+        [circle() for _ in range(12)], [diag_rep(float(lam)) for lam in range(2, 14)])
     assert report.passed
 
 
@@ -526,8 +532,8 @@ def dense_inclusion_maps(pair, tol=DEFAULT_TOL):
     beta = [np.hstack([inclusion(maps1[p], n), inclusion(maps2[p], n)])
             for p, n in enumerate(tcm.dims)]
     alpha = np.zeros((tc1.dims[0] + tc2.dims[0], d), dtype=complex)
-    base1 = maps1[0].index(pair.ds.disk_cell) * d
-    base2 = tc1.dims[0] + maps2[0].index(pair.ds.disk_cell) * d
+    base1 = maps1[0].index(0) * d
+    base2 = tc1.dims[0] + maps2[0].index(0) * d
     alpha[base1:base1 + d] = np.eye(d)
     alpha[base2:base2 + d] = -np.eye(d)
 

@@ -83,6 +83,15 @@ def test_bounds_bracket_two_norm_rank_one(u, v):
     assert linalg.frobenius_norm(a) == pytest.approx(two_norm(a), rel=ULPS, abs=0)
 
 
+@pytest.mark.parametrize("scale", [1e-182, 1e-160, 1e-155])
+def test_bounds_of_entries_whose_squares_underflow(scale):
+    a = scale * np.array([[3.0, 4.0j], [0.0, 1.0]])
+    assert_brackets(a)
+    assert linalg.max_column_norm(a) == pytest.approx(np.sqrt(17.0) * scale, rel=ULPS)
+    rank_one = np.array([[4.67447576e-182 + 0j]])
+    assert linalg.frobenius_norm(rank_one) == two_norm(rank_one)
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (1, 6), (6, 1), (2, 7), (7, 2)])
 def test_bounds_of_zero_and_tall_wide_matrices(shape):
     zero = np.zeros(shape, dtype=complex)
@@ -168,7 +177,7 @@ def sequence_with(dout, din):
     maps[2], maps[3] = dout, din
     return glue.MvSequence(
         dims=dims, maps=maps, bases=[np.eye(n, dtype=complex) for n in dims],
-        block_splits={}, h_m=[], h_factors=([], []), h_disk=[])
+        h_factors=([], []))
 
 
 def test_verify_exactness_rejects_compositions_just_past_the_threshold():

@@ -151,7 +151,7 @@ def test_verify_exactness_rejects_image_larger_than_kernel():
     maps[1] = maps[2] = np.array([[1e-4]], dtype=complex)
     seq = glue.MvSequence(
         dims=dims, maps=maps, bases=[np.eye(n, dtype=complex) for n in dims],
-        block_splits={}, h_m=[], h_factors=([], []), h_disk=[])
+        h_factors=([], []))
     with pytest.raises(SequenceError, match="homology in degree 1") as info:
         glue.verify_exactness(seq)
     assert isinstance(info.value, TorsionworksError)
