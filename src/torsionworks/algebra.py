@@ -339,30 +339,78 @@ class Representation:
                               tuple(g0 @ m @ g0inv for m in self.images))
 
 
-def evaluate_word(rep: Representation, word: Word) -> np.ndarray:
-    """Image of a word under the representation; empty word -> identity."""
-    out = np.eye(rep.n, dtype=complex)
-    for gen, exp in word.letters:
+def _word_images(rep: Representation, words) -> np.ndarray:
+    """Images of a sequence of words under the representation, stacked (W, n, n).
+
+    Each distinct letter's power is taken once: one stacked
+    ``matrix_power`` per exponent, which is ``matrix_power`` of each
+    image bit for bit.  Words are padded on the left with the identity
+    to a common length; every image starts as the identity and is
+    multiplied on the right by one letter position of all words at
+    once.  The identity times itself is the identity exactly, so each
+    image is the product ``evaluate_word`` forms, bit for bit.
+    """
+    length = max((len(w.letters) for w in words), default=0)
+    slots: dict[tuple[int, int], int] = {}
+    positions = [[0] * len(words) for _ in range(length)]
+    for i, word in enumerate(words):
+        for k, letter in enumerate(word.letters, start=length - len(word.letters)):
+            positions[k][i] = slots.setdefault(letter, len(slots) + 1)
+    by_exponent: dict[int, list[tuple[int, int]]] = {}
+    for (gen, exp), slot in slots.items():
         if gen >= rep.generator_count:
             raise IndexError(
                 f"word uses generator {gen} but representation has "
                 f"{rep.generator_count} images"
             )
-        out = out @ np.linalg.matrix_power(rep.images[gen], exp)
-    return out
+        by_exponent.setdefault(exp, []).append((gen, slot))
+    powers = np.empty((len(slots) + 1, rep.n, rep.n), dtype=complex)
+    powers[0] = np.eye(rep.n)
+    for exp, pairs in by_exponent.items():
+        gens, where = zip(*pairs)
+        stacked = np.array([rep.images[g] for g in gens])
+        powers[list(where)] = np.linalg.matrix_power(stacked, exp)
+    images = powers[[0] * len(words)]
+    for factors in positions:
+        images = images @ powers[factors]
+    return images
+
+
+def evaluate_word(rep: Representation, word: Word) -> np.ndarray:
+    """Image of a word under the representation; empty word -> identity.
+
+    The one-word case of ``_word_images``: the product of the letters'
+    powers from the left, starting at the identity.
+    """
+    return _word_images(rep, [word])[0]
+
+
+def adjoint_matrices(rep: Representation, basis: LieAlgebraBasis, words) -> np.ndarray:
+    """Adjoint matrices of a sequence of words, stacked (W, d, d).
+
+    Block w is the matrix of X -> g X g^{-1} in the orthonormal basis, g
+    the image of ``words[w]``: entry (i, j) is B(a_i, g a_j g^{-1}), and
+    the block has determinant 1.  The images come from ``_word_images``
+    and are inverted with one stacked ``inv``; one stacked conjugation
+    and one stacked trace give every entry of every block.  Each block
+    is the matrix ``killing_form`` gives entry by entry, bit for bit.
+    """
+    d = basis.dim
+    if not words:
+        return np.zeros((0, d, d), dtype=complex)
+    g = _word_images(rep, words)
+    a = np.array(basis.vectors)
+    conj = g[:, None] @ a @ np.linalg.inv(g)[:, None]
+    return 4.0 * np.trace(a[:, None] @ conj[:, None, :], axis1=-2, axis2=-1)
 
 
 def adjoint_matrix(rep: Representation, basis: LieAlgebraBasis, word: Word) -> np.ndarray:
     """Matrix of X -> g X g^{-1} in the orthonormal basis, g the word image.
 
-    Entry (i, j) is B(a_i, g a_j g^{-1}); the result always has
-    determinant 1.  One stacked product gives all d^2 entries; they are
-    the values ``killing_form`` gives entry by entry, bit for bit.
+    The one-word case of ``adjoint_matrices``; the result always has
+    determinant 1.
     """
-    g = evaluate_word(rep, word)
-    a = np.stack(basis.vectors)
-    conj = g @ a @ np.linalg.inv(g)
-    return 4.0 * np.trace(a[:, None] @ conj[None, :], axis1=-2, axis2=-1)
+    return adjoint_matrices(rep, basis, [word])[0]
 
 
 class RelatorCheck(NamedTuple):

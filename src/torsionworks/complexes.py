@@ -19,7 +19,7 @@ from .algebra import (
     LieAlgebraBasis,
     Representation,
     Word,
-    adjoint_matrix,
+    adjoint_matrices,
 )
 from .errors import DimensionMismatchError, HomologyError, InconsistentLiftsError
 from .linalg import DEFAULT_TOL
@@ -135,32 +135,49 @@ def twist(cw: CwComplexData, rep: Representation, basis: LieAlgebraBasis,
     """Twist the CW data by the adjoint of a representation.
 
     Each group-ring entry sum(m_i * gamma_i) becomes the block
-    sum(m_i * Ad(gamma_i)).  Consecutive maps must compose to zero
-    within tolerance, otherwise the lifts and the representation are
-    inconsistent (checked with the norm bounds of ``linalg``).
+    sum(m_i * Ad(gamma_i)).  The distinct words of every boundary map
+    are collected in one scan and their adjoint blocks taken in one
+    ``adjoint_matrices`` call.  Each entry's block is summed term by
+    term from zero, as a loop over ``adjoint_matrix`` would sum it, so
+    every twisted matrix is the same bit for bit; the blocks of each
+    map are then written in one scatter.  Consecutive maps must compose
+    to zero within tolerance, otherwise the lifts and the representation
+    are inconsistent (checked with the norm bounds of ``linalg``).
     """
+    if rep.generator_count < cw.presentation.generator_count:
+        raise DimensionMismatchError(
+            f"presentation has {cw.presentation.generator_count} generators, "
+            f"representation has {rep.generator_count} images"
+        )
     d = basis.dim
-    cache: dict[Word, np.ndarray] = {}
-
-    def ad(word: Word) -> np.ndarray:
-        if word not in cache:
-            cache[word] = adjoint_matrix(rep, basis, word)
-        return cache[word]
+    index: dict[Word, int] = {}
+    layouts = []
+    for g in cw.boundaries:
+        cells, terms = [], []
+        for i, row in enumerate(g.entries):
+            for j, entry in enumerate(row):
+                if entry.terms:
+                    cells.append((i, j))
+                    terms.append([(index.setdefault(w, len(index)), c) for w, c in entry.terms])
+        layouts.append((g.rows, g.cols, cells, terms))
+    # a zero block past the words' blocks pads the entries with fewer terms:
+    # a sum started at +0 is never -0, so adding +0 leaves every bit of it
+    ad = np.zeros((len(index) + 1, d, d), dtype=complex)
+    ad[:-1] = adjoint_matrices(rep, basis, list(index))
 
     mats = []
-    for p in range(1, cw.dimension + 1):
-        g = cw.boundary_matrix(p)
-        big = np.zeros((g.rows * d, g.cols * d), dtype=complex)
-        for i in range(g.rows):
-            for j in range(g.cols):
-                entry = g.entry(i, j)
-                if entry.is_zero:
-                    continue
-                block = np.zeros((d, d), dtype=complex)
-                for word, coeff in entry.terms:
-                    block += coeff * ad(word)
-                big[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
-        mats.append(big)
+    for rows, cols, cells, terms in layouts:
+        big = np.zeros((rows, d, cols, d), dtype=complex)
+        if cells:
+            width = max(map(len, terms))
+            pad = [(len(index), 0)]
+            words, coeffs = np.array([ts + pad * (width - len(ts)) for ts in terms]).T
+            blocks = np.zeros((len(cells), d, d), dtype=complex)
+            for t in range(width):
+                blocks += coeffs[t, :, None, None] * ad[words[t]]
+            i, j = zip(*cells)
+            big[i, :, j, :] = blocks
+        mats.append(big.reshape(rows * d, cols * d))
 
     dims = [m * d for m in cw.cells]
     tc = TwistedChainComplex(d, dims, mats)

@@ -49,23 +49,38 @@ def operator_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
-def _without_underflow(norm, a):
-    """``norm(a)``, taken again on ``a`` over its largest modulus when it
-    falls below ``UNDERFLOW_FLOOR``, where squares of entries underflow."""
-    n = norm(a)
-    s = float(np.abs(a).max(initial=0.0)) if n < UNDERFLOW_FLOOR else 0.0
-    return s * norm(a / s) if s else n
-
-
 def frobenius_norm(a):
-    """Frobenius norm, an upper bound on the 2-norm (0 when ``a`` is empty)."""
-    return _without_underflow(lambda m: float(np.linalg.norm(m)), a)
+    """Frobenius norm, an upper bound on the 2-norm (0 when ``a`` is empty).
+
+    A norm below ``UNDERFLOW_FLOOR``, where squares of entries underflow,
+    is taken again on ``a`` over its largest modulus.
+    """
+    n = float(np.linalg.norm(a))
+    s = float(np.abs(a).max(initial=0.0)) if n < UNDERFLOW_FLOOR else 0.0
+    return s * float(np.linalg.norm(a / s)) if s else n
+
+
+def column_norms(a):
+    """The 2-norm of each column of ``a``.
+
+    A norm below ``UNDERFLOW_FLOOR``, where squares of entries underflow,
+    is taken again on its column over the column's largest modulus.  The
+    sum is the one ``numpy.linalg.norm(a, axis=0)`` takes, bit for bit,
+    without that call's argument handling, which costs more than the sum
+    on the small matrices of the checks.
+    """
+    n = np.sqrt(np.add.reduce((a.conj() * a).real, axis=0))
+    if n.min(initial=UNDERFLOW_FLOOR) < UNDERFLOW_FLOOR:
+        low = n < UNDERFLOW_FLOOR
+        s = np.abs(a[:, low]).max(axis=0, initial=0.0)
+        s[s == 0] = 1.0
+        n[low] = s * np.linalg.norm(a[:, low] / s, axis=0)
+    return n
 
 
 def max_column_norm(a):
     """Largest column 2-norm, a lower bound on the 2-norm (0 when ``a`` is empty)."""
-    return _without_underflow(
-        lambda m: float(np.linalg.norm(m, axis=0).max(initial=0.0)), a)
+    return float(column_norms(a).max(initial=0.0))
 
 
 def svd_rank(sv, tol, check_ambiguity=False):

@@ -114,7 +114,7 @@ def _independent(m, tol) -> bool:
     Column scales are legitimate degrees of freedom, so the rank is
     taken of the unit-norm columns: only genuine dependence fails.
     """
-    norms = np.linalg.norm(m, axis=0)
+    norms = linalg.column_norms(m)
     return bool(np.all(norms > 0)) and linalg.matrix_rank(m / norms, tol) == m.shape[1]
 
 

@@ -181,6 +181,20 @@ def test_evaluate_word_bad_index():
         evaluate_word(rep, Word.generator(5))
 
 
+@settings(max_examples=60, deadline=None)
+@given(words_strategy)
+def test_evaluate_word_is_bitwise_the_letter_loop(word):
+    # signed zeros in the images: a product that skipped the identity
+    # start would keep the -0 that identity @ image turns into +0
+    signed = np.array([[2.0, -0.0], [complex(-0.0, -0.0), 0.5]], dtype=complex)
+    rng = np.random.default_rng(5)
+    rep = Representation.from_images([signed, random_sl2(rng), signed.T.copy()])
+    want = np.eye(2, dtype=complex)
+    for gen, exp in word.letters:
+        want = want @ np.linalg.matrix_power(rep.images[gen], exp)
+    assert evaluate_word(rep, word).tobytes() == want.tobytes()
+
+
 def test_adjoint_identity_word(basis):
     rep = diag_rep(2.0)
     assert np.allclose(adjoint_matrix(rep, basis, Word()), np.eye(3))

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionworks.algebra import (
     GroupPresentation,
     GroupRingElement,
     GroupRingMatrix,
     Representation,
+    Target,
     Word,
+    killing_form,
+    orthonormal_sl2_basis,
 )
 from torsionworks.complexes import (
     CwComplexData,
@@ -18,12 +23,14 @@ from torsionworks.complexes import (
     untwisted_betti0,
 )
 from torsionworks.errors import (
+    DimensionMismatchError,
     InconsistentLiftsError,
     RankAmbiguityError,
 )
-from torsionworks.scenes import circle, point, wedge_of_circles
+from torsionworks.glue import disk_sum
+from torsionworks.scenes import circle, disk, point, wedge_of_circles
 
-from conftest import block_ad, diag_rep, random_sl2, torus
+from conftest import block_ad, bouquet, diag_rep, random_sl2, torus
 
 
 # ---------------------------------------------------------------------------
@@ -175,3 +182,129 @@ def test_degenerate_layer_allowed(basis):
     tc = twist(cw, Representation.trivial(0), basis)
     assert tc.dims == [3, 0]
     assert homology(tc).betti == [3, 0]
+
+
+# ---------------------------------------------------------------------------
+# the batched twist against a per-word reference
+# ---------------------------------------------------------------------------
+
+def per_word_twist(cw, rep, basis):
+    """The boundary maps of ``twist``, built one word and one entry at a time.
+
+    A word's image is the product of its letters' powers from the
+    identity; each adjoint entry is one ``killing_form`` call; each
+    group-ring entry's block is summed term by term from zero and
+    written with a slice.
+    """
+    d = basis.dim
+    cache = {}
+
+    def ad(word):
+        if word not in cache:
+            g = np.eye(rep.n, dtype=complex)
+            for gen, exp in word.letters:
+                g = g @ np.linalg.matrix_power(rep.images[gen], exp)
+            ginv = np.linalg.inv(g)
+            out = np.empty((d, d), dtype=complex)
+            for j, aj in enumerate(basis.vectors):
+                conj = g @ aj @ ginv
+                for i, ai in enumerate(basis.vectors):
+                    out[i, j] = killing_form(ai, conj)
+            cache[word] = out
+        return cache[word]
+
+    mats = []
+    for g in cw.boundaries:
+        big = np.zeros((g.rows * d, g.cols * d), dtype=complex)
+        for i in range(g.rows):
+            for j in range(g.cols):
+                entry = g.entry(i, j)
+                if entry.is_zero:
+                    continue
+                block = np.zeros((d, d), dtype=complex)
+                for word, coeff in entry.terms:
+                    block += coeff * ad(word)
+                big[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
+        mats.append(big)
+    return mats
+
+
+def assert_twist_matches_reference(cw, rep, basis):
+    got = twist(cw, rep, basis).mats
+    want = per_word_twist(cw, rep, basis)
+    assert len(got) == len(want)
+    for p, (a, b) in enumerate(zip(got, want), start=1):
+        assert a.dtype == b.dtype and a.shape == b.shape, (cw.name, p)
+        assert a.tobytes() == b.tobytes(), (cw.name, p)
+
+
+sl2_images = st.tuples(
+    *[st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)) for _ in range(4)]
+).map(lambda t: np.array(t, dtype=complex).reshape(2, 2)).filter(
+    lambda m: abs(np.linalg.det(m)) > 0.1
+).map(lambda m: m / np.sqrt(np.linalg.det(m)))
+
+GENERATORS = 3
+
+words = st.lists(
+    st.tuples(st.integers(0, GENERATORS - 1), st.integers(-3, 3).filter(bool)),
+    max_size=4,
+).map(Word.from_letters)
+
+
+@st.composite
+def graph_complexes(draw):
+    """A 1-dimensional complex whose entries draw several terms from a
+    small pool of words, so that words repeat within and across entries."""
+    pool = draw(st.lists(words, min_size=1, max_size=5))
+    term = st.tuples(st.sampled_from(pool), st.integers(-3, 3))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    grid = [[GroupRingElement.from_terms(draw(st.lists(term, max_size=4)))
+             for _ in range(cols)] for _ in range(rows)]
+    return CwComplexData(name="graph", presentation=GroupPresentation.free(GENERATORS),
+                         cells=[rows, cols], boundaries=[GroupRingMatrix.from_rows(grid)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_complexes(), st.lists(sl2_images, min_size=GENERATORS, max_size=GENERATORS),
+       st.sampled_from(list(Target)))
+def test_twist_is_bitwise_the_per_word_twist_on_drawn_entries(cw, images, target):
+    rep = Representation(target, 2, tuple(images))
+    assert_twist_matches_reference(cw, rep, orthonormal_sl2_basis())
+
+
+def fifteen_factor_complex():
+    """The glued shape of the benchmark's complex workload: 12 tori, then a
+    wedge of 2 circles, a wedge of 3 circles and the bouquet."""
+    total = torus()
+    for factor in [torus()] * 11 + [wedge_of_circles(2), wedge_of_circles(3), bouquet()]:
+        total = disk_sum(total, factor).total
+    return total
+
+
+def test_twist_is_bitwise_the_per_word_twist_on_named_complexes(basis, rng):
+    glued = fifteen_factor_complex()
+    assert glued.cells == [1, 30, 13, 1]
+    cases = [torus(), bouquet(), wedge_of_circles(3), glued]
+    for cw in cases:
+        count = cw.presentation.generator_count
+        lams = rng.uniform(1.3, 2.2, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+        rep = diag_rep(*lams)
+        assert_twist_matches_reference(cw, rep, basis)
+        # conjugating keeps every relator and makes the images non-diagonal
+        assert_twist_matches_reference(cw, rep.conjugated(random_sl2(rng)), basis)
+    wedge = wedge_of_circles(3)
+    generic = Representation.from_images([random_sl2(rng) for _ in range(3)], Target.PSL)
+    assert_twist_matches_reference(wedge, generic, basis)
+
+
+def test_twist_of_the_zero_word_disk(basis):
+    cw = disk()
+    tc = twist(cw, Representation.trivial(0), basis)
+    assert tc.dims == [3] and tc.mats == []
+    assert per_word_twist(cw, Representation.trivial(0), basis) == []
+
+
+def test_twist_rejects_too_few_images(basis):
+    with pytest.raises(DimensionMismatchError, match="2 generators.*1 images"):
+        twist(wedge_of_circles(2), diag_rep(2.0), basis)

@@ -109,6 +109,16 @@ def test_value_matches_per_degree_invariant(basis, rng):
     assert result.value == pytest.approx(recombined, rel=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-170])
+def test_homology_bases_whose_column_norms_underflow(basis, scale):
+    # both degrees scaled alike leave the value; below about 1e-162 the
+    # squares of the entries underflow, so naive column norms read 0
+    tc = twist(circle(), diag_rep(2.0), basis)
+    hd = homology(tc)
+    value = torsion_of(tc, hd, [h * scale for h in hd.h_basis]).value
+    assert value == pytest.approx(-2.25, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # covariance and invariance
 # ---------------------------------------------------------------------------
