@@ -266,10 +266,6 @@ class LieAlgebraBasis:
     def dim(self) -> int:
         return self.n * self.n - 1
 
-    def coordinates(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of a traceless matrix in this basis (B-pairing)."""
-        return np.array([killing_form(a, x) for a in self.vectors])
-
 
 def _build_sl2_basis() -> LieAlgebraBasis:
     e = np.array([[0, 1], [0, 0]], dtype=complex)

@@ -21,7 +21,12 @@ from .algebra import (
     Word,
     adjoint_matrices,
 )
-from .errors import DimensionMismatchError, HomologyError, InconsistentLiftsError
+from .errors import (
+    DimensionMismatchError,
+    HomologyError,
+    InconsistentLiftsError,
+    TorsionworksError,
+)
 from .linalg import DEFAULT_TOL
 
 MAX_DIMENSION = 3
@@ -140,9 +145,10 @@ def twist(cw: CwComplexData, rep: Representation, basis: LieAlgebraBasis,
     ``adjoint_matrices`` call.  Each entry's block is summed term by
     term from zero, as a loop over ``adjoint_matrix`` would sum it, so
     every twisted matrix is the same bit for bit; the blocks of each
-    map are then written in one scatter.  Consecutive maps must compose
-    to zero within tolerance, otherwise the lifts and the representation
-    are inconsistent (checked with the norm bounds of ``linalg``).
+    map are then written in one scatter.  Every twisted map must be
+    finite, and consecutive maps must compose to zero within tolerance,
+    otherwise the lifts and the representation are inconsistent
+    (``linalg.nonzero_composition``).
     """
     if rep.generator_count < cw.presentation.generator_count:
         raise DimensionMismatchError(
@@ -179,18 +185,19 @@ def twist(cw: CwComplexData, rep: Representation, basis: LieAlgebraBasis,
             big[i, :, j, :] = blocks
         mats.append(big.reshape(rows * d, cols * d))
 
-    dims = [m * d for m in cw.cells]
-    tc = TwistedChainComplex(d, dims, mats)
-    for p in range(1, cw.dimension):
-        a, b = tc.boundary(p), tc.boundary(p + 1)
-        resid = linalg.frobenius_norm(a @ b)
-        scale = 1.0 + linalg.max_column_norm(a) * linalg.max_column_norm(b)
-        if resid > tol * scale:
-            raise InconsistentLiftsError(
-                f"boundary maps {p} and {p + 1} compose to norm {resid:.3e}; "
-                "the lifts or the representation are inconsistent"
+    for p, m in enumerate(mats, start=1):
+        if not np.isfinite(m).all():
+            raise TorsionworksError(
+                f"twist: boundary map {p} (degree {p} to {p - 1}) has non-finite entries"
             )
-    return tc
+    bad = linalg.nonzero_composition(mats, tol)
+    if bad is not None:
+        p, resid = bad
+        raise InconsistentLiftsError(
+            f"boundary maps {p} and {p + 1} compose to norm {resid:.3e}; "
+            "the lifts or the representation are inconsistent"
+        )
+    return TwistedChainComplex(d, [m * d for m in cw.cells], mats)
 
 
 @dataclass

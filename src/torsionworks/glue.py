@@ -20,10 +20,11 @@ acyclic complex used here:
     space 3p+1 : H_p(M1) (+) H_p(M2)
     space 3p+2 : H_p(D)          (zero above degree 0)
 
-``MvSequence`` holds it as a based complex with its split basis, built
-once.  The torsion of that sequence in assigned homology bases is the
-corrective term; with the bases produced by ``transport_bases`` it
-equals 1 exactly, which reduces the gluing formula
+``MvSequence`` is that sequence as a chain complex with d = 1, with its
+assigned bases and its split basis, built once.  The torsion of that
+sequence in assigned homology bases is the corrective term; with the
+bases produced by ``transport_bases`` it equals 1 exactly, which reduces
+the gluing formula
 
     T(M1) * T(M2) = T(M) * T(D) * (corrective term)
 
@@ -41,7 +42,6 @@ from .algebra import (
     GroupPresentation,
     GroupRingElement,
     GroupRingMatrix,
-    LieAlgebraBasis,
     Representation,
     Word,
     orthonormal_sl2_basis,
@@ -68,9 +68,8 @@ from .torsion import (
     torsion_of,
 )
 
-# three spaces per degree: H_p(M), H_p(M1) (+) H_p(M2), H_p(D)
+# the sequence has three spaces per degree: H_p(M), H_p(M1) (+) H_p(M2), H_p(D)
 DEGREES = MAX_DIMENSION + 1
-N_SPACES = 3 * DEGREES
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +220,12 @@ def _class_coordinates(vectors, h, boundary, tol):
     cols = vectors.shape[1]
     blocks = [m for m in (h, boundary) if m.shape[1]]
     if not blocks:
-        if linalg.frobenius_norm(vectors) > DEFECT_TOL:
+        if not linalg.frobenius_norm(vectors) <= DEFECT_TOL:
             raise SequenceError("nonzero vector mapped into a zero homology group")
         return np.zeros((0, cols), dtype=complex)
     solve_in = np.hstack(blocks)
     coords, defect = linalg.min_norm_preimage(solve_in, vectors, tol)
-    if defect > DEFECT_TOL:
+    if not defect <= DEFECT_TOL:
         raise SequenceError(
             f"vector is not a cycle class in the given basis (defect {defect:.3e})"
         )
@@ -254,37 +253,25 @@ class GluedPair:
 
 
 @dataclass
-class MvSequence:
+class MvSequence(TwistedChainComplex):
     """The homology long exact sequence of a disk sum, as a based complex.
 
-    Each space's coordinates are taken in homology bases (cycle-vector
-    columns), so the maps are plain matrices and the default assigned
-    bases are identities.  In the direct-sum space 3p+1 the coordinates
-    of ``h_factors[0][p]`` come first and those of ``h_factors[1][p]``
-    last.  ``mv_sequence`` builds ``split`` once and ``with_bases`` copies
-    carry it: they have the same maps, and the split ignores the bases.
+    A chain complex with d = 1: ``mats[q - 1]`` maps space q into space
+    q - 1.  Each space's coordinates are taken in homology bases
+    (cycle-vector columns), so the maps are plain matrices and the
+    default assigned bases are identities.  In the direct-sum space 3p+1
+    the coordinates of ``h_factors[0][p]`` come first and those of
+    ``h_factors[1][p]`` last.  ``mv_sequence`` checks exactness and
+    builds ``split`` once; ``with_bases`` copies carry it, since they
+    have the same maps and the split ignores the bases.
     """
 
-    dims: list[int]
-    maps: list[np.ndarray]
     bases: list[np.ndarray]
     h_factors: tuple[list[np.ndarray], list[np.ndarray]]
-    split: HomologySplitting | None = None
-
-    def boundary(self, p: int) -> np.ndarray:
-        if 1 <= p <= N_SPACES - 1:
-            return self.maps[p]
-        if p <= 0:
-            return np.zeros((0, self.dims[0]), dtype=complex)
-        return np.zeros((self.dims[-1] if p == N_SPACES else 0, 0), dtype=complex)
+    split: HomologySplitting
 
     def with_bases(self, bases) -> "MvSequence":
         return replace(self, bases=[np.asarray(b, dtype=complex) for b in bases])
-
-    def label(self, p: int) -> str:
-        i, kind = divmod(p, 3)
-        names = {0: f"H{i}(M)", 1: f"H{i}(M1)+H{i}(M2)", 2: f"H{i}(D)"}
-        return names[kind]
 
 
 def _padded(hlist, dims):
@@ -331,7 +318,8 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
     for p in range(DEGREES):
         dims += [bm[p].shape[1], b1[p].shape[1] + b2[p].shape[1], bd[p].shape[1]]
 
-    maps: list[np.ndarray] = [linalg.empty_matrix(0)] * N_SPACES
+    # maps[q - 1] maps space q into space q - 1
+    maps: list[np.ndarray] = []
     for p in range(DEGREES):
         q = 3 * p
         # beta-induced: H_p(M1) (+) H_p(M2) -> H_p(M)
@@ -342,7 +330,7 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
             images[at1[p], :k1] = b1[p]
             images[at2[p], k1:] = b2[p]
             mat = _class_coordinates(images, bm[p], pair.hdm.boundary_basis[p], tol)
-        maps[q + 1] = mat
+        maps.append(mat)
 
         # alpha-induced: H_p(D) -> H_p(M1) (+) H_p(M2)   (degree 0 only)
         mat = np.zeros((dims[q + 1], dims[q + 2]), dtype=complex)
@@ -353,61 +341,56 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
             c2 = _class_coordinates(images[n1:, :], b2[0],
                                     pair.hd2.boundary_basis[0], tol)
             mat = np.vstack([c1, c2])
-        maps[q + 2] = mat
+        maps.append(mat)
 
         # connecting map: H_{p+1}(M) -> H_p(D)
-        if q + 3 < N_SPACES:
+        if p + 1 < DEGREES:
             mat = np.zeros((dims[q + 2], dims[q + 3]), dtype=complex)
             if dims[q + 3] and dims[q + 2]:
                 z = bm[p + 1]
                 bdry = np.vstack([tc1.boundary(p + 1) @ z[at1[p + 1]],
                                   tc2.boundary(p + 1) @ z[at2[p + 1]]])
                 pulled, defect = linalg.min_norm_preimage(alpha, bdry, tol)
-                if defect > DEFECT_TOL:
+                if not defect <= DEFECT_TOL:
                     raise SequenceError(
                         f"degree {p + 1}: connecting boundary misses the disk image "
                         f"(defect {defect:.3e})"
                     )
                 mat = _class_coordinates(pulled, bd[p], pair.hdd.boundary_basis[p], tol)
-            maps[q + 3] = mat
+            maps.append(mat)
 
-    seq = MvSequence(dims=dims, maps=maps, h_factors=(h1, h2),
-                     bases=[np.eye(n, dtype=complex) for n in dims])
-    _split(seq, tol)
-    return seq
+    tc = TwistedChainComplex(1, dims, maps)
+    hd = verify_exactness(tc, tol)
+    split = build_splitting(tc, hd, tol=tol,
+                            boundary_bases=_split_boundary_bases(tc, hd.boundary_basis))
+    return MvSequence(1, dims, maps, bases=[np.eye(n, dtype=complex) for n in dims],
+                      h_factors=(h1, h2), split=split)
 
 
-def verify_exactness(seq: MvSequence, tol: float = DEFAULT_TOL) -> HomologyData:
-    """Composition-zero at every junction, zero homology, and a zero
-    alternating dimension sum.  Returns the sequence's homology data.
-    Compositions are checked with the norm bounds of ``linalg``."""
-    for p in range(N_SPACES):
-        din = seq.boundary(p + 1)
-        dout = seq.boundary(p)
-        if din.shape[1] and dout.shape[1]:
-            comp = linalg.frobenius_norm(dout @ din)
-            scale = 1.0 + linalg.max_column_norm(dout) * linalg.max_column_norm(din)
-            if comp > DEFECT_TOL * scale:
-                raise SequenceError(
-                    f"maps into and out of space {p} compose to norm {comp:.3e}"
-                )
+def verify_exactness(tc: TwistedChainComplex, tol: float = DEFAULT_TOL) -> HomologyData:
+    """Check that a chain complex is exact and return its homology data.
+
+    Consecutive maps must compose to zero (``linalg.nonzero_composition``
+    at ``DEFECT_TOL``) and every homology group must be zero, which
+    makes the alternating sum of the dimensions zero as well.
+    """
+    bad = linalg.nonzero_composition(tc.mats, DEFECT_TOL)
+    if bad is not None:
+        p, resid = bad
+        raise SequenceError(f"maps into and out of space {p} compose to norm {resid:.3e}")
     try:
-        hd = homology(seq, tol)
+        hd = homology(tc, tol)
     except HomologyError as exc:
         raise SequenceError(f"{exc}; the sequence is not exact") from None
     for p, k in enumerate(hd.betti):
         if k:
             raise SequenceError(
-                f"space {p} ({seq.label(p)}): homology of dimension {k}; "
-                "the sequence is not exact"
-            )
-    total = sum((-1) ** p * n for p, n in enumerate(seq.dims))
-    if total != 0:
-        raise SequenceError(f"alternating dimension sum is {total}, not 0")
+                f"space {p}: homology of dimension {k}; the sequence is not exact")
     return hd
 
 
-def _split_boundary_bases(seq: MvSequence, images: list[np.ndarray]) -> list[np.ndarray]:
+def _split_boundary_bases(seq: TwistedChainComplex,
+                          images: list[np.ndarray]) -> list[np.ndarray]:
     """Boundary bases b_q of the split bases b_q | s_q(b_{q-1}) of the sequence.
 
     ``images[q]`` is the orthonormal SVD image basis of the map into
@@ -422,25 +405,13 @@ def _split_boundary_bases(seq: MvSequence, images: list[np.ndarray]) -> list[np.
     out = list(images)
     if seq.dims[2] and images[1].shape[1] == seq.dims[2]:
         out[1] = seq.boundary(2)
-    for q in range(0, N_SPACES, 3):
+    for q in range(0, len(seq.dims), 3):
         if seq.dims[q] and images[q].shape[1] == seq.dims[q]:
             out[q] = np.eye(seq.dims[q], dtype=complex)
     return out
 
 
-def _split(seq: MvSequence, tol: float) -> HomologySplitting:
-    """Exactness check and split b_q | s_q(b_{q-1}), built once per sequence.
-    ``tol`` applies only to a hand-built sequence: ``mv_sequence`` splits
-    at the tolerance it builds with."""
-    if seq.split is None:
-        hd = verify_exactness(seq, tol)
-        seq.split = build_splitting(
-            seq, hd, tol=tol,
-            boundary_bases=_split_boundary_bases(seq, hd.boundary_basis))
-    return seq.split
-
-
-def corrective_term(seq: MvSequence, tol: float = DEFAULT_TOL) -> TorsionResult:
+def corrective_term(seq: MvSequence) -> TorsionResult:
     """Torsion of the exact sequence in its assigned bases.
 
     The sequence is acyclic, so every homology basis is empty and each
@@ -449,7 +420,7 @@ def corrective_term(seq: MvSequence, tol: float = DEFAULT_TOL) -> TorsionResult:
     ``transport_bases`` normalizes.  The value does not depend on that
     choice; the per-degree determinants do.
     """
-    return torsion(seq, _split(seq, tol), reference_bases=seq.bases)
+    return torsion(seq, seq.split, reference_bases=seq.bases)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +454,7 @@ class TransportedBases:
     coordinate_scalings: list[np.ndarray] = field(default_factory=list)
 
 
-def transport_bases(seq: MvSequence, tol: float = DEFAULT_TOL) -> TransportedBases:
+def transport_bases(seq: MvSequence) -> TransportedBases:
     """Choose factor bases making the corrective term 1.
 
     Follows the split-basis construction degree by degree: in each
@@ -500,7 +471,6 @@ def transport_bases(seq: MvSequence, tol: float = DEFAULT_TOL) -> TransportedBas
     a_matrices = []
     det_as = []
 
-    split = _split(seq, tol)
     for p in range(DEGREES):
         q = 3 * p + 1
         if seq.dims[q] == 0:
@@ -509,7 +479,7 @@ def transport_bases(seq: MvSequence, tol: float = DEFAULT_TOL) -> TransportedBas
             continue
         # rows of A express the natural (identity) factor basis in the split basis
         try:
-            a = np.linalg.inv(assembled_matrix(seq, split, q)).T
+            a = np.linalg.inv(assembled_matrix(seq, seq.split, q)).T
         except np.linalg.LinAlgError as exc:
             raise TransportError(f"space {q}: singular transport matrix") from exc
         det_a = complex(np.linalg.det(a))
@@ -519,10 +489,10 @@ def transport_bases(seq: MvSequence, tol: float = DEFAULT_TOL) -> TransportedBas
         a_matrices.append(a)
         det_as.append(det_a)
 
-    residual = corrective_term(seq.with_bases(bases), tol).value
+    residual = corrective_term(seq.with_bases(bases)).value
     slot = next((3 * p + 1 for p in range(DEGREES) if seq.dims[3 * p + 1]), None)
     if slot is None:
-        if abs(residual - 1.0) > PASS_TOL:
+        if not abs(residual - 1.0) <= PASS_TOL:
             raise TransportError(
                 f"corrective term {residual} cannot be normalized: "
                 "no nonzero direct-sum space"
@@ -552,32 +522,31 @@ def transport_bases(seq: MvSequence, tol: float = DEFAULT_TOL) -> TransportedBas
 # assembled analyses and verifiers
 # ---------------------------------------------------------------------------
 
-def _factored(cw: CwComplexData, rep: Representation, basis: LieAlgebraBasis,
+def _factored(cw: CwComplexData, rep: Representation,
               tol: float) -> tuple[TwistedChainComplex, HomologyData]:
-    tc = twist(cw, rep, basis, tol)
+    tc = twist(cw, rep, orthonormal_sl2_basis(), tol)
     return tc, homology(tc, tol)
 
 
 def _glue(m1: CwComplexData, rep1: Representation,
           m2: CwComplexData, rep2: Representation,
-          basis: LieAlgebraBasis, tol: float,
-          prev: GluedPair | None = None) -> GluedPair:
+          tol: float, prev: GluedPair | None = None) -> GluedPair:
     """Glue M1 and M2, then twist and factor each complex once.
 
     ``prev`` is the pair whose glued space is M1.  Its twisted complex,
     homology and disk are reused rather than rebuilt; without it, M1 and
     the disk are twisted and factored here.  The glued complex is not
-    twisted: it is placed from the factors' blocks.
+    twisted: it is placed from the factors' blocks.  Every complex is
+    twisted through the fixed sl2 basis ``orthonormal_sl2_basis``.
     """
     ds = disk_sum(m1, m2, tol)
     rep = free_product_rep(rep1, rep2, ds)
     if prev is None:
-        tc1, hd1 = _factored(m1, rep1, basis, tol)
-        tcd, hdd = _factored(disk(), Representation.trivial(0, rep.n, rep1.target),
-                             basis, tol)
+        tc1, hd1 = _factored(m1, rep1, tol)
+        tcd, hdd = _factored(disk(), Representation.trivial(0, rep.n, rep1.target), tol)
     else:
         tc1, hd1, tcd, hdd = prev.tcm, prev.hdm, prev.tcd, prev.hdd
-    tc2, hd2 = _factored(m2, rep2, basis, tol)
+    tc2, hd2 = _factored(m2, rep2, tol)
     tcm = placed_complex(ds, tc1, tc2)
     hdm = homology(tcm, tol)
     return GluedPair(ds, rep, tc1, tc2, tcm, tcd, hd1, hd2, hdm, hdd)
@@ -585,22 +554,9 @@ def _glue(m1: CwComplexData, rep1: Representation,
 
 def analyze_disk_sum(m1: CwComplexData, rep1: Representation,
                      m2: CwComplexData, rep2: Representation,
-                     basis: LieAlgebraBasis | None = None,
                      tol: float = DEFAULT_TOL) -> GluedPair:
     """Glue M1 and M2 and twist and factor the four complexes of the pair."""
-    return _glue(m1, rep1, m2, rep2, basis or orthonormal_sl2_basis(), tol)
-
-
-def _random_homology_bases(hd: HomologyData, rng) -> list[np.ndarray]:
-    out = []
-    for p, k in enumerate(hd.betti):
-        if k == 0:
-            out.append(hd.h_basis[p])
-            continue
-        mix = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        mix += 3.0 * np.eye(k)
-        out.append(hd.h_basis[p] @ mix)
-    return out
+    return _glue(m1, rep1, m2, rep2, tol)
 
 
 @dataclass
@@ -631,16 +587,16 @@ def verify_mv_identity(pair: GluedPair, draws: int = 10, seed: int = 0,
     residuals = []
     dims = None
     for _ in range(draws):
-        h1 = _random_homology_bases(pair.hd1, rng)
-        h2 = _random_homology_bases(pair.hd2, rng)
-        hm = _random_homology_bases(pair.hdm, rng)
-        hdisk = [_random_homology_bases(pair.hdd, rng)[0]]
+        h1 = linalg.random_recombination(pair.hd1.h_basis, rng)
+        h2 = linalg.random_recombination(pair.hd2.h_basis, rng)
+        hm = linalg.random_recombination(pair.hdm.h_basis, rng)
+        hdisk = linalg.random_recombination(pair.hdd.h_basis, rng)[:1]
         seq = mv_sequence(pair, h1=h1, h2=h2, hm=hm, hdisk=hdisk, tol=tol)
         t1 = torsion_of(pair.tc1, pair.hd1, h1, tol=tol).value
         t2 = torsion_of(pair.tc2, pair.hd2, h2, tol=tol).value
         tm = torsion_of(pair.tcm, pair.hdm, hm, tol=tol).value
         td = torsion_of(pair.tcd, pair.hdd, hdisk, tol=tol).value
-        th = corrective_term(seq, tol).value
+        th = corrective_term(seq).value
         lhs = t1 * t2
         rhs = tm * td * th
         residuals.append(abs(lhs - rhs) / abs(lhs))
@@ -696,9 +652,7 @@ class MultiplicativityReport:
         return step_ok and self.relative_error <= self.tolerance
 
 
-def verify_multiplicativity(factors, reps, h_m=None, h_disk=None,
-                            basis: LieAlgebraBasis | None = None,
-                            tol: float = DEFAULT_TOL,
+def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
                             pass_tol: float = PASS_TOL) -> MultiplicativityReport:
     """Verify T(M) = prod T(M_i) for a left-associated disk sum.
 
@@ -718,28 +672,25 @@ def verify_multiplicativity(factors, reps, h_m=None, h_disk=None,
         raise DiskSumError("need at least two factors")
     if len(factors) != len(reps):
         raise DiskSumError("one representation required per factor")
-    basis = basis or orthonormal_sl2_basis()
 
-    pairs = [_glue(factors[0], reps[0], factors[1], reps[1], basis, tol)]
+    pairs = [_glue(factors[0], reps[0], factors[1], reps[1], tol)]
     for m2, rep2 in zip(factors[2:], reps[2:]):
         prev = pairs[-1]
-        pairs.append(_glue(prev.ds.total, prev.rep, m2, rep2, basis, tol, prev))
+        pairs.append(_glue(prev.ds.total, prev.rep, m2, rep2, tol, prev))
     left_names = [factors[0].name] + [pair.ds.total.name for pair in pairs[:-1]]
 
     top = pairs[-1]
     current_h = list(top.hdm.h_basis) if h_m is None else h_m
-    hdisk = [h_disk[0]] if h_disk is not None else [top.hdd.h_basis[0]]
     total_torsion = torsion_of(top.tcm, top.hdm, current_h, tol=tol).value
-    t_disk = torsion_of(top.tcd, top.hdd, hdisk, tol=tol).value
+    t_disk = torsion_of(top.tcd, top.hdd, tol=tol).value
 
     steps: list[MultiplicativityStep] = []
     t_total = total_torsion
     for k in range(len(factors) - 1, 0, -1):
         pair = pairs[k - 1]
-        seq = mv_sequence(pair, hm=current_h, hdisk=hdisk, tol=tol)
-        transported = transport_bases(seq, tol)
-        corrective = corrective_term(
-            seq.with_bases(transported.coordinate_scalings), tol).value
+        seq = mv_sequence(pair, hm=current_h, tol=tol)
+        transported = transport_bases(seq)
+        corrective = corrective_term(seq.with_bases(transported.coordinate_scalings)).value
         t_left = torsion_of(pair.tc1, pair.hd1, transported.h_m1, tol=tol).value
         t_right = torsion_of(pair.tc2, pair.hd2, transported.h_m2, tol=tol).value
         steps.append(MultiplicativityStep(

@@ -8,11 +8,12 @@ largest singular value.
 Defect and composition checks take no SVD.  They bound the 2-norm from
 both sides instead: the Frobenius norm of a defect is at least its
 2-norm, and the largest column norm of a scale is at most its 2-norm.
-A check ``frobenius_norm(defect) > tol * max_column_norm(scale)``
-therefore rejects everything the same check in 2-norms rejects.  This
-holds for the composition checks of ``twist`` and ``verify_exactness``,
-the cycle check of ``build_splitting`` and the defect of
-``min_norm_preimage``.
+A check that rejects unless ``frobenius_norm(defect) <= tol *
+max_column_norm(scale)`` therefore rejects everything the same check in
+2-norms rejects, and rejects a NaN defect.  This holds for the
+composition check ``nonzero_composition`` that ``twist`` and
+``verify_exactness`` share, the cycle check of ``build_splitting`` and
+the defect of ``min_norm_preimage``.
 """
 
 import numpy as np
@@ -81,6 +82,45 @@ def column_norms(a):
 def max_column_norm(a):
     """Largest column 2-norm, a lower bound on the 2-norm (0 when ``a`` is empty)."""
     return float(column_norms(a).max(initial=0.0))
+
+
+def nonzero_composition(maps, tol):
+    """The first junction at which consecutive maps do not compose to zero.
+
+    ``maps[p - 1]`` maps into the space that ``maps[p]`` maps out of, as
+    the boundary maps of a chain complex do.  Returns ``(p, norm)`` with
+    the Frobenius norm of ``maps[p - 1] @ maps[p]`` for the first product
+    whose norm is not within ``tol * (1 + |a| |b|)``, in largest column
+    norms, or None when every product vanishes.  A NaN norm does not.
+    A product with an empty factor is zero and is not formed.
+    """
+    for p in range(1, len(maps)):
+        a, b = maps[p - 1], maps[p]
+        if not (a.size and b.size):
+            continue
+        resid = frobenius_norm(a @ b)
+        scale = 1.0 + max_column_norm(a) * max_column_norm(b)
+        if not resid <= tol * scale:
+            return p, resid
+    return None
+
+
+def random_recombination(blocks, rng):
+    """Each column block times a random square matrix normal + 1j normal + 3I.
+
+    The shift by 3I keeps the recombination well conditioned.  Empty
+    blocks are kept as they are and draw nothing from ``rng``.
+    """
+    out = []
+    for block in blocks:
+        k = block.shape[1]
+        if k == 0:
+            out.append(block)
+            continue
+        mix = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        mix += 3.0 * np.eye(k)
+        out.append(block @ mix)
+    return out
 
 
 def svd_rank(sv, tol, check_ambiguity=False):

@@ -71,7 +71,7 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
             )
         if h.shape[1]:
             cycle_defect = linalg.frobenius_norm(tc.boundary(p) @ h)
-            if cycle_defect > tol * max(1.0, linalg.max_column_norm(h)):
+            if not cycle_defect <= tol * max(1.0, linalg.max_column_norm(h)):
                 raise BadHomologyBasisError(
                     f"degree {p}: supplied vectors are not cycles (defect {cycle_defect:.3e})"
                 )
@@ -85,7 +85,7 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
     for p in range(1, n + 1):
         target = bs[p - 1]
         pre, defect = linalg.min_norm_preimage(tc.boundary(p), target, tol)
-        if defect > DEFECT_TOL:
+        if not defect <= DEFECT_TOL:
             raise SplittingError(
                 f"degree {p}: section defect {defect:.3e} exceeds {DEFECT_TOL:.0e}"
             )
@@ -144,10 +144,6 @@ class TorsionResult:
     value: complex
     per_degree_determinants: list[complex]
 
-    @property
-    def modulus(self) -> float:
-        return abs(self.value)
-
 
 def torsion(tc, split: HomologySplitting, reference_bases=None) -> TorsionResult:
     """Alternating product of transition determinants for a split complex.
@@ -174,11 +170,9 @@ def torsion(tc, split: HomologySplitting, reference_bases=None) -> TorsionResult
     return TorsionResult(value=value, per_degree_determinants=dets)
 
 
-def torsion_of(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
-               reference_bases=None) -> TorsionResult:
+def torsion_of(tc, hd, h_bases=None, tol: float = DEFAULT_TOL) -> TorsionResult:
     """Convenience wrapper: split with defaults, then take the torsion."""
-    split = build_splitting(tc, hd, h_bases, tol=tol)
-    return torsion(tc, split, reference_bases=reference_bases)
+    return torsion(tc, build_splitting(tc, hd, h_bases, tol=tol))
 
 
 @dataclass
@@ -193,20 +187,6 @@ class IndependenceReport:
     @property
     def passed(self) -> bool:
         return self.max_relative_deviation <= self.tolerance
-
-
-def _random_boundary_bases(tc, hd, rng):
-    out = []
-    for p in range(len(tc.dims)):
-        base = hd.boundary_basis[p]
-        r = base.shape[1]
-        if r == 0:
-            out.append(base)
-            continue
-        mix = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-        mix += 3.0 * np.eye(r)  # keep the recombination well conditioned
-        out.append(base @ mix)
-    return out
 
 
 def _random_section_cycles(tc, hd, rng):
@@ -239,7 +219,7 @@ def torsion_independence_check(tc, hd, h_bases=None, trials: int = 20,
     for _ in range(trials):
         split = build_splitting(
             tc, hd, h_bases, tol=tol,
-            boundary_bases=_random_boundary_bases(tc, hd, rng),
+            boundary_bases=linalg.random_recombination(hd.boundary_basis, rng),
             section_cycles=_random_section_cycles(tc, hd, rng),
         )
         val = torsion(tc, split).value

@@ -117,6 +117,16 @@ def test_torsion_rank_ambiguity_exit_code(tmp_path, capsys):
     assert "ambiguity" in err
 
 
+def test_torsion_of_an_overflowing_twist_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(scene_text(circle(), diag_rep(1e160)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "torsion", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: twist: boundary map 1 ")
+
+
 def test_torsion_deterministic_output(scene_dir, capsys):
     _, first, _ = run_cli(capsys, "torsion", scene_dir["circle2"], "--seed", "0")
     _, second, _ = run_cli(capsys, "torsion", scene_dir["circle2"], "--seed", "0")

@@ -26,6 +26,7 @@ from torsionworks.errors import (
     DimensionMismatchError,
     InconsistentLiftsError,
     RankAmbiguityError,
+    TorsionworksError,
 )
 from torsionworks.glue import disk_sum
 from torsionworks.scenes import circle, disk, point, wedge_of_circles
@@ -92,6 +93,16 @@ def test_twist_rejects_relator_violation(basis):
     rep = Representation.from_images([random_sl2(rng), random_sl2(rng)])
     with pytest.raises(InconsistentLiftsError):
         twist(torus(), rep, basis)
+
+
+@pytest.mark.parametrize("cw, rep", [(torus(), diag_rep(1e160, 2.0)),
+                                     (circle(), diag_rep(1e160))], ids=["torus", "circle"])
+def test_twist_rejects_non_finite_blocks(cw, rep, basis):
+    # Ad(diag(1e160, 1e-160)) has an eigenvalue 1e320, which overflows; the
+    # homology SVD of such a map does not converge
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TorsionworksError, match=r"^twist: boundary map 1 \(degree 1"):
+            twist(cw, rep, basis)
 
 
 # ---------------------------------------------------------------------------

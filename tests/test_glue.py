@@ -9,22 +9,27 @@ from torsionworks.algebra import (
     Word,
     orthonormal_sl2_basis,
 )
-from torsionworks.complexes import CwComplexData, euler_characteristic, twist
+from torsionworks.complexes import (
+    CwComplexData,
+    TwistedChainComplex,
+    euler_characteristic,
+    twist,
+)
 from torsionworks.errors import DiskSumError, SequenceError
 from torsionworks.glue import (
-    MvSequence,
     analyze_disk_sum,
     corrective_term,
     disk_sum,
     free_product_rep,
     mv_sequence,
     transport_bases,
+    verify_exactness,
     verify_multiplicativity,
     verify_mv_identity,
 )
 from torsionworks.linalg import DEFAULT_TOL, DEFECT_TOL, matrix_rank, min_norm_preimage
 from torsionworks.scenes import circle, point, wedge_of_circles
-from torsionworks.torsion import torsion_of
+from torsionworks.torsion import build_splitting, torsion, torsion_of
 
 from conftest import bouquet, diag_rep, random_sl2, torus
 
@@ -202,25 +207,49 @@ def test_sequence_exactness_suite():
 def test_sequence_rejects_inconsistent_maps():
     pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
     seq = build_sequence(pair)
-    broken = MvSequence(seq.dims, list(seq.maps), seq.bases, seq.h_factors)
-    broken.maps[1] = np.zeros_like(seq.maps[1])  # kill the gluing map
+    mats = list(seq.mats)
+    mats[0] = np.zeros_like(mats[0])  # kill the gluing map
     with pytest.raises(SequenceError):
-        corrective_term(broken)
+        verify_exactness(TwistedChainComplex(1, seq.dims, mats))
+
+
+def test_exactness_rejects_dimensions_that_do_not_alternate_to_zero():
+    # consistent (a single map), but 2 - 1 != 0 leaves a homology class
+    tc = TwistedChainComplex(1, [2, 1], [np.array([[1.0], [0.0]], dtype=complex)])
+    with pytest.raises(SequenceError, match="space 0: homology of dimension 1"):
+        verify_exactness(tc)
+
+
+def test_copies_and_transport_read_the_split_mv_sequence_built(monkeypatch):
+    pair = analyze_disk_sum(wedge_of_circles(2), diag_rep(2.0, 3.0), circle(), diag_rep(5.0))
+    seq = build_sequence(pair)
+    assert seq.with_bases([2.0 * b for b in seq.bases]).split is seq.split
+    read = []
+    assembled, torsion_value = glue.assembled_matrix, glue.torsion
+
+    def recording_assembled(tc, split, p):
+        read.append(split)
+        return assembled(tc, split, p)
+
+    def recording_torsion(tc, split, **kwargs):
+        read.append(split)
+        return torsion_value(tc, split, **kwargs)
+
+    monkeypatch.setattr(glue, "assembled_matrix", recording_assembled)
+    monkeypatch.setattr(glue, "torsion", recording_torsion)
+    transport_bases(seq)
+    assert read and all(split is seq.split for split in read)
 
 
 # ---------------------------------------------------------------------------
 # corrective term
 # ---------------------------------------------------------------------------
 
-def make_zero_sequence():
-    dims = [0] * 12
-    maps = [np.zeros((0, 0), dtype=complex)] * 12
-    bases = [np.zeros((0, 0), dtype=complex)] * 12
-    return MvSequence(dims, maps, bases, ([], []))
-
-
 def test_corrective_term_zero_sequence_is_one():
-    assert corrective_term(make_zero_sequence()).value == pytest.approx(1.0)
+    # twelve zero spaces are exact, and each contributes the empty product
+    zero = TwistedChainComplex(1, [0] * 12, [np.zeros((0, 0), dtype=complex)] * 11)
+    split = build_splitting(zero, verify_exactness(zero))
+    assert torsion(zero, split).value == pytest.approx(1.0)
 
 
 def test_corrective_term_scaling_covariance():
@@ -542,32 +571,34 @@ def dense_inclusion_maps(pair, tol=DEFAULT_TOL):
     dims = []
     for p in range(glue.DEGREES):
         dims += [bm[p].shape[1], b1[p].shape[1] + b2[p].shape[1], bd[p].shape[1]]
-    maps = [np.zeros((0, 0), dtype=complex)] * glue.N_SPACES
+    # maps[q - 1] maps space q into space q - 1
+    maps = []
     for p in range(glue.DEGREES):
         q = 3 * p
-        maps[q + 1] = np.zeros((dims[q], dims[q + 1]), dtype=complex)
+        mat = np.zeros((dims[q], dims[q + 1]), dtype=complex)
         if dims[q] and dims[q + 1]:
             images = beta[p] @ block_diagonal(b1[p], b2[p])
-            maps[q + 1] = glue._class_coordinates(
-                images, bm[p], pair.hdm.boundary_basis[p], tol)
-        maps[q + 2] = np.zeros((dims[q + 1], dims[q + 2]), dtype=complex)
+            mat = glue._class_coordinates(images, bm[p], pair.hdm.boundary_basis[p], tol)
+        maps.append(mat)
+        mat = np.zeros((dims[q + 1], dims[q + 2]), dtype=complex)
         if dims[q + 2]:
             images = alpha @ bd[p]
-            maps[q + 2] = np.vstack([
+            mat = np.vstack([
                 glue._class_coordinates(images[:tc1.dims[0]], b1[0],
                                         pair.hd1.boundary_basis[0], tol),
                 glue._class_coordinates(images[tc1.dims[0]:], b2[0],
                                         pair.hd2.boundary_basis[0], tol)])
-        if q + 3 < glue.N_SPACES:
-            maps[q + 3] = np.zeros((dims[q + 2], dims[q + 3]), dtype=complex)
+        maps.append(mat)
+        if p + 1 < glue.DEGREES:
+            mat = np.zeros((dims[q + 2], dims[q + 3]), dtype=complex)
             if dims[q + 3] and dims[q + 2]:
                 lift, defect = min_norm_preimage(beta[p + 1], bm[p + 1], tol)
                 assert defect <= DEFECT_TOL
                 bdry = block_diagonal(tc1.boundary(p + 1), tc2.boundary(p + 1)) @ lift
                 pulled, defect = min_norm_preimage(alpha, bdry, tol)
                 assert defect <= DEFECT_TOL
-                maps[q + 3] = glue._class_coordinates(
-                    pulled, bd[p], pair.hdd.boundary_basis[p], tol)
+                mat = glue._class_coordinates(pulled, bd[p], pair.hdd.boundary_basis[p], tol)
+            maps.append(mat)
     return maps
 
 
@@ -580,7 +611,8 @@ def test_placed_gluing_maps_equal_the_dense_inclusion_maps():
             pair = analyze_disk_sum(m1, r1, m2, r2)
             seq = mv_sequence(pair)
             reference = dense_inclusion_maps(pair)
-            for q, (placed, dense) in enumerate(zip(seq.maps, reference)):
+            assert len(seq.mats) == len(reference) == 11
+            for q, (placed, dense) in enumerate(zip(seq.mats, reference), start=1):
                 assert placed.shape == dense.shape, (m1.name, m2.name, q)
                 assert placed.dtype == dense.dtype
                 assert np.array_equal(placed, dense), (m1.name, m2.name, q)

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from torsionworks import glue, linalg
 from torsionworks.algebra import Representation, orthonormal_sl2_basis
-from torsionworks.complexes import homology, twist
+from torsionworks.complexes import TwistedChainComplex, homology, twist
 from torsionworks.errors import (
     BadHomologyBasisError,
     InconsistentLiftsError,
@@ -169,15 +169,8 @@ def test_build_splitting_rejects_non_cycles_just_past_the_threshold():
 
 
 def sequence_with(dout, din):
-    """An MvSequence whose only maps are ``din``: 3 -> 2 and ``dout``: 2 -> 1."""
-    dims = [0] * glue.N_SPACES
-    dims[1], dims[2], dims[3] = dout.shape[0], dout.shape[1], din.shape[1]
-    maps = [np.zeros((dims[p - 1] if p else 0, dims[p]), dtype=complex)
-            for p in range(glue.N_SPACES)]
-    maps[2], maps[3] = dout, din
-    return glue.MvSequence(
-        dims=dims, maps=maps, bases=[np.eye(n, dtype=complex) for n in dims],
-        h_factors=([], []))
+    """A three-space sequence with the maps ``din``: 2 -> 1 and ``dout``: 1 -> 0."""
+    return TwistedChainComplex(1, [dout.shape[0], dout.shape[1], din.shape[1]], [dout, din])
 
 
 def test_verify_exactness_rejects_compositions_just_past_the_threshold():

@@ -1,4 +1,5 @@
-"""Source checks: every tolerance is named once, in ``linalg``."""
+"""Source checks on tolerances: each is named once, in ``linalg``, and no
+rejection against one lets a NaN through."""
 
 import ast
 from pathlib import Path
@@ -27,4 +28,31 @@ def small_literals(path):
 
 def test_small_float_literals_are_named_constants_of_linalg():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in small_literals(path)]
+    assert found == []
+
+
+# a rejection written ``x > bound`` lets a NaN ``x`` through; ``not x <= bound`` does not
+BOUNDS = {"tol", "DEFECT_TOL", "PASS_TOL"}
+
+
+def names_a_bound(node):
+    """Whether ``node`` is a bound alone or a product with a bound factor."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return names_a_bound(node.left) or names_a_bound(node.right)
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name in BOUNDS
+
+
+def greater_than_bound(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            for left, op, right in zip([node.left, *node.comparators], node.ops,
+                                       node.comparators)
+            if (isinstance(op, ast.Gt) and names_a_bound(right))
+            or (isinstance(op, ast.Lt) and names_a_bound(left))]
+
+
+def test_no_comparison_rejects_with_greater_than_a_tolerance():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in greater_than_bound(path)]
     assert found == []

@@ -145,13 +145,8 @@ def test_homology_rejects_more_boundaries_than_cycles():
 def test_verify_exactness_rejects_image_larger_than_kernel():
     # the composition 1e-8 passes the composition-zero check, but space 1
     # has a 0-dimensional kernel and a 1-dimensional incoming image
-    dims = [1, 1, 1] + [0] * (glue.N_SPACES - 3)
-    maps = [np.zeros((dims[p - 1] if p else 0, dims[p]), dtype=complex)
-            for p in range(glue.N_SPACES)]
-    maps[1] = maps[2] = np.array([[1e-4]], dtype=complex)
-    seq = glue.MvSequence(
-        dims=dims, maps=maps, bases=[np.eye(n, dtype=complex) for n in dims],
-        h_factors=([], []))
+    small = np.array([[1e-4]], dtype=complex)
+    seq = TwistedChainComplex(1, [1, 1, 1], [small, small])
     with pytest.raises(SequenceError, match="homology in degree 1") as info:
         glue.verify_exactness(seq)
     assert isinstance(info.value, TorsionworksError)

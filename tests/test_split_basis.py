@@ -5,16 +5,10 @@ import pytest
 
 from torsionworks.algebra import Representation
 from torsionworks.complexes import homology
-from torsionworks.glue import (
-    _random_homology_bases,
-    analyze_disk_sum,
-    corrective_term,
-    mv_sequence,
-    transport_bases,
-)
-from torsionworks.linalg import matrix_rank
+from torsionworks.glue import analyze_disk_sum, corrective_term, mv_sequence, transport_bases
+from torsionworks.linalg import matrix_rank, random_recombination
 from torsionworks.scenes import circle, point, wedge_of_circles
-from torsionworks.torsion import torsion_of
+from torsionworks.torsion import build_splitting, torsion
 
 from conftest import diag_rep, random_sl2
 
@@ -46,14 +40,15 @@ def test_corrective_value_independent_of_split_basis(rng):
         canonical = build_sequence(pair)
         drawn = build_sequence(
             pair,
-            h1=_random_homology_bases(pair.hd1, rng),
-            h2=_random_homology_bases(pair.hd2, rng),
-            hm=_random_homology_bases(pair.hdm, rng),
+            h1=random_recombination(pair.hd1.h_basis, rng),
+            h2=random_recombination(pair.hd2.h_basis, rng),
+            hm=random_recombination(pair.hdm.h_basis, rng),
         )
         transported = canonical.with_bases(
             transport_bases(canonical).coordinate_scalings)
         for seq in (canonical, drawn, transported):
-            expected = torsion_of(seq, homology(seq), reference_bases=seq.bases).value
+            split = build_splitting(seq, homology(seq))
+            expected = torsion(seq, split, reference_bases=seq.bases).value
             assert corrective_term(seq).value == pytest.approx(expected, rel=1e-9), (
                 m1.name, m2.name)
 
