@@ -390,14 +390,17 @@ def adjoint_matrices(rep: Representation, basis: LieAlgebraBasis, words) -> np.n
     and are inverted with one stacked ``inv``; one stacked conjugation
     and one stacked trace give every entry of every block.  Each block
     is the matrix ``killing_form`` gives entry by entry, bit for bit.
+    Overflow is left silent: it yields non-finite entries, which ``twist``
+    rejects with a stage error.
     """
     d = basis.dim
     if not words:
         return np.zeros((0, d, d), dtype=complex)
     g = _word_images(rep, words)
     a = np.array(basis.vectors)
-    conj = g[:, None] @ a @ np.linalg.inv(g)[:, None]
-    return 4.0 * np.trace(a[:, None] @ conj[:, None, :], axis1=-2, axis2=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        conj = g[:, None] @ a @ np.linalg.inv(g)[:, None]
+        return 4.0 * np.trace(a[:, None] @ conj[:, None, :], axis1=-2, axis2=-1)
 
 
 def adjoint_matrix(rep: Representation, basis: LieAlgebraBasis, word: Word) -> np.ndarray:

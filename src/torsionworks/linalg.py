@@ -14,6 +14,20 @@ max_column_norm(scale)`` therefore rejects everything the same check in
 composition check ``nonzero_composition`` that ``twist`` and
 ``verify_exactness`` share, the cycle check of ``build_splitting`` and
 the defect of ``min_norm_preimage``.
+
+Independence checks usually take no SVD either.  ``independent_columns``
+forms the Gram matrix G of the k unit-norm columns, which has a unit
+diagonal, and e = ||G - I||_F.  The eigenvalues of G are the squared
+singular values (and 0 when k exceeds the column length, so then
+e >= 1), and each lies within ||G - I||_2 <= e of 1 (Weyl).  So
+e <= ``GRAM_RADIUS`` = 1/2 puts every singular value in [sqrt(1/2),
+sqrt(3/2)], and the smallest is at least 1/sqrt(3) times the largest.
+Rounding moves a computed Gram product of k unit columns of length n by
+at most about n k 2^-53 in Frobenius norm (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 3.5), far inside that margin, so
+for any rank cutoff ``tol <= GRAM_TOL_LIMIT`` the SVD would also find
+full rank.  The certificate only ever accepts; where it cannot decide,
+a NaN included, the SVD decides, so every answer is the SVD's.
 """
 
 import numpy as np
@@ -34,6 +48,15 @@ ZERO_FLOOR = 1e-11
 
 # a singular value within this factor of the cutoff is ambiguous
 AMBIGUITY_FACTOR = 10.0
+
+# unit columns whose Gram matrix lies within this Frobenius distance of
+# the identity are independent: their singular values are within a factor
+# sqrt(3) of each other
+GRAM_RADIUS = 0.5
+
+# the largest rank cutoff that the Gram certificate decides; it stays below
+# the ratio 1/sqrt(3) that GRAM_RADIUS guarantees by far more than rounding
+GRAM_TOL_LIMIT = 0.5
 
 # a norm below this may have lost squares of entries to underflow, so it
 # is taken again on the entries divided by the largest modulus
@@ -149,6 +172,30 @@ def matrix_rank(a, tol):
     if a.size == 0:
         return 0
     return svd_rank(np.linalg.svd(a, compute_uv=False), tol)
+
+
+def independent_columns(m, tol):
+    """Whether the columns of ``m`` are linearly independent.
+
+    Column scales are legitimate degrees of freedom, so the rank is taken
+    of the unit-norm columns U = m / ``column_norms(m)``: only genuine
+    dependence fails, and a zero or NaN column is dependent.  The answer
+    is ``matrix_rank(U, tol) == k`` for k columns; the Gram certificate of
+    the module docstring gives it without the SVD when U is near
+    orthonormal and ``tol <= GRAM_TOL_LIMIT``.
+    """
+    norms = column_norms(m)
+    if not (norms > 0).all():
+        return False
+    u = m / norms
+    k = m.shape[1]
+    if tol <= GRAM_TOL_LIMIT:
+        gram = u.conj().T @ u
+        gram.flat[:: k + 1] -= 1.0  # G - I
+        # e^2 = ||G - I||_F^2 in one dot; a NaN fails the comparison
+        if np.vdot(gram, gram).real <= GRAM_RADIUS**2:
+            return True
+    return matrix_rank(u, tol) == k
 
 
 def kernel_and_image(a, tol):

@@ -58,6 +58,14 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
     choice is valid) and ``section_cycles`` adds cycle components to the
     minimum-norm sections; both exist so that independence from these
     choices can be exercised directly.
+
+    Two checks need independence: the homology vectors with the boundary
+    basis of their degree, and each split basis [b_p | h_p | s_p].  Both
+    go through ``linalg.independent_columns``.  With the default bases
+    b_p and h_p are orthonormal and the sections' unit columns are too,
+    so a Gram product certifies each check; supplied or recombined bases
+    that are far from orthonormal, and any check that fails, take the
+    rank SVD.
     """
     n = len(tc.dims) - 1
     bs = list(boundary_bases if boundary_bases is not None else hd.boundary_basis)
@@ -75,7 +83,7 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
                 raise BadHomologyBasisError(
                     f"degree {p}: supplied vectors are not cycles (defect {cycle_defect:.3e})"
                 )
-            if not _independent(np.hstack([hd.boundary_basis[p], h]), tol):
+            if not linalg.independent_columns(np.hstack([hd.boundary_basis[p], h]), tol):
                 raise BadHomologyBasisError(
                     f"degree {p}: homology classes are dependent modulo boundaries"
                 )
@@ -103,19 +111,9 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
                 f"degree {p}: split basis has {m.shape[1]} vectors in a "
                 f"{m.shape[0]}-dimensional chain group"
             )
-        if m.shape[0] and not _independent(m, tol):
+        if m.shape[0] and not linalg.independent_columns(m, tol):
             raise SplittingError(f"degree {p}: split basis is singular")
     return split
-
-
-def _independent(m, tol) -> bool:
-    """Whether the columns of ``m`` are linearly independent.
-
-    Column scales are legitimate degrees of freedom, so the rank is
-    taken of the unit-norm columns: only genuine dependence fails.
-    """
-    norms = linalg.column_norms(m)
-    return bool(np.all(norms > 0)) and linalg.matrix_rank(m / norms, tol) == m.shape[1]
 
 
 def assembled_matrix(tc, split: HomologySplitting, p: int) -> np.ndarray:

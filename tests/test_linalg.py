@@ -9,7 +9,7 @@ check to raise.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -206,3 +206,133 @@ def test_min_norm_preimage_defect_just_past_the_threshold():
     eps = just_past(ratio, linalg.DEFECT_TOL)
     _, defect = linalg.min_norm_preimage(a, reachable + eps * off, linalg.DEFAULT_TOL)
     assert defect > linalg.DEFECT_TOL
+
+
+# ---------------------------------------------------------------------------
+# the Gram certificate of an independence check decides as the SVD does
+# ---------------------------------------------------------------------------
+
+def svd_independent(m, tol):
+    """The decision of ``independent_columns`` taken by the SVD alone."""
+    norms = linalg.column_norms(m)
+    return bool(np.all(norms > 0)) and linalg.matrix_rank(m / norms, tol) == m.shape[1]
+
+
+def complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def orthonormal(rng, n, k):
+    q, _ = np.linalg.qr(complex_normal(rng, (n, n)))
+    return q[:, :k]
+
+
+# rank cutoffs from tight to past GRAM_TOL_LIMIT, where the SVD must decide
+tols = st.one_of(st.floats(-12.0, np.log10(0.9)).map(lambda x: 10.0 ** x),
+                 st.floats(0.3, 0.9))
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def near_orthonormal(draw):
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    eps = 10.0 ** draw(st.floats(-14.0, 0.5))
+    return orthonormal(rng, n, k) + eps * complex_normal(rng, (n, k)), draw(tols)
+
+
+@st.composite
+def dependent(draw):
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(2, n + 1))
+    m = complex_normal(rng, (n, k - 1))
+    extra = m[:, :1] if draw(st.booleans()) else m @ complex_normal(rng, (k - 1, 1))
+    m = np.hstack([m, extra])
+    return m[:, rng.permutation(k)], draw(tols)
+
+
+@st.composite
+def at_cutoff(draw):
+    """Two columns whose singular values have ratio tol (1 +- delta), among
+    orthonormal others: [u, cos t u + sin t v] has ratio tan(t / 2)."""
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(2, n))
+    tol = draw(tols)
+    delta = draw(st.sampled_from([-1e-3, -1e-6, 1e-6, 1e-3]))
+    t = 2.0 * np.arctan(tol * (1.0 + delta))
+    q = orthonormal(rng, n, k)
+    q[:, 1] = np.cos(t) * q[:, 0] + np.sin(t) * q[:, 1]
+    return q[:, rng.permutation(k)], tol
+
+
+@st.composite
+def wide(draw):
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(n + 1, n + 4))
+    return complex_normal(rng, (n, k)), draw(tols)
+
+
+@st.composite
+def with_bad_column(draw):
+    """A zero column, a NaN entry or an infinite entry among good columns."""
+    m, tol = draw(near_orthonormal())
+    i = draw(st.integers(0, m.shape[1] - 1))
+    bad = draw(st.sampled_from([0.0, np.nan, np.inf]))
+    if bad == 0.0:
+        m[:, i] = 0.0
+    else:
+        m[draw(st.integers(0, m.shape[0] - 1)), i] = bad
+    return m, tol
+
+
+@st.composite
+def rescaled(draw):
+    """Any case above with its columns scaled by 1, 1e170 or 1e-170."""
+    m, tol = draw(st.one_of(near_orthonormal(), dependent(), at_cutoff(), wide()))
+    scales = draw(st.lists(st.sampled_from([1.0, 1e170, 1e-170]),
+                           min_size=m.shape[1], max_size=m.shape[1]))
+    return m * np.array(scales), tol
+
+
+def outcome(check, m, tol):
+    """The decision of ``check``, or the type of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return check(m, tol)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+def two_columns_at_ratio(r):
+    """Unit columns [u, cos t u + sin t v] with singular value ratio tan(t / 2) = r."""
+    t = 2.0 * np.arctan(r)
+    return np.array([[1.0, np.cos(t)], [0.0, np.sin(t)]], dtype=complex)
+
+
+# their Gram matrix is 0.40 from I: full rank at a cutoff of 0.7, and past
+# GRAM_TOL_LIMIT, at 0.8, rank deficient in the SVD's judgement
+@example((two_columns_at_ratio(0.75), 0.7))
+@example((two_columns_at_ratio(0.75), 0.8))
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(near_orthonormal(), dependent(), at_cutoff(), wide(),
+                 with_bad_column(), rescaled()))
+def test_independence_certificate_decides_as_the_svd(case):
+    m, tol = case
+    assert outcome(linalg.independent_columns, m, tol) == outcome(svd_independent, m, tol)
+
+
+def test_near_orthonormal_columns_take_no_svd(monkeypatch):
+    rng = np.random.default_rng(14)
+    scales = np.geomspace(1e-170, 1e150, 6)
+    m = (orthonormal(rng, 8, 6) + 1e-3 * complex_normal(rng, (8, 6))) * scales
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the certificate should decide")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert linalg.independent_columns(m, linalg.GRAM_TOL_LIMIT)
+    assert linalg.independent_columns(m[:, :0], linalg.DEFAULT_TOL)

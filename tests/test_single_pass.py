@@ -173,3 +173,55 @@ def test_chain_takes_no_matrix_two_norm(monkeypatch):
     reps = [diag_rep(2.0), diag_rep(3.0, 1.5), diag_rep(2.0, 3.0), diag_rep(2.5)]
     assert glue.verify_multiplicativity(factors, reps).passed
     assert two_norms == []
+
+
+def count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def generic_diagonal_rep(rng, generators):
+    """Eigenvalues of modulus in [1.3, 2.2] and uniform phase, as the benchmark draws."""
+    modulus = rng.uniform(1.3, 2.2, size=generators)
+    return diag_rep(*(modulus * np.exp(2j * np.pi * rng.uniform(size=generators))))
+
+
+def fifteen_factors():
+    """12 tori, wedge_2, wedge_3 and the bouquet glued in that order."""
+    total = torus()
+    for factor in [torus()] * 11 + [wedge_of_circles(2), wedge_of_circles(3), bouquet()]:
+        total = glue.disk_sum(total, factor).total
+    return total
+
+
+@pytest.mark.parametrize("make", [torus, bouquet, fifteen_factors])
+def test_canonical_split_bases_take_no_svd(make, basis, monkeypatch):
+    # b and h are orthonormal and the min-norm sections normalize to right
+    # singular vectors, so the Gram certificate decides every check
+    cw = make()
+    rng = np.random.default_rng(15)
+    tc = twist(cw, generic_diagonal_rep(rng, cw.presentation.generator_count), basis)
+    hd = homology(tc)
+    svds = count_svds(monkeypatch)
+    torsion.torsion_of(tc, hd)
+    assert svds == []
+
+
+def test_chain_split_bases_take_no_svd(monkeypatch):
+    # an 8-factor chain splits 8 factors, 7 glued spaces, the disk and 7
+    # sequences; homology and the sequence solves take 120 SVDs, and an SVD
+    # per split-basis check would add 137
+    factors = [circle(), wedge_of_circles(2), torus(), wedge_of_circles(3),
+               circle(), torus(), bouquet(), wedge_of_circles(2)]
+    rng = np.random.default_rng(16)
+    reps = [generic_diagonal_rep(rng, f.presentation.generator_count) for f in factors]
+    svds = count_svds(monkeypatch)
+    assert glue.verify_multiplicativity(factors, reps).passed
+    assert len(svds) <= 125

@@ -3,7 +3,8 @@ import pytest
 
 from torsionworks.algebra import Representation, Word, adjoint_matrix
 from torsionworks.complexes import TwistedChainComplex, change_lift, homology, twist
-from torsionworks.errors import BadHomologyBasisError
+from torsionworks import linalg
+from torsionworks.errors import BadHomologyBasisError, SplittingError
 from torsionworks.scenes import circle, point, wedge_of_circles
 from torsionworks.torsion import (
     build_splitting,
@@ -224,3 +225,43 @@ def test_rejects_wrong_count(basis):
     hd = homology(tc)
     with pytest.raises(BadHomologyBasisError):
         build_splitting(tc, hd, [hd.h_basis[0][:, :2], hd.h_basis[1]])
+
+
+def record_rank_decisions(monkeypatch):
+    """The SVD rank decisions ``independent_columns`` falls back to."""
+    decisions = []
+    matrix_rank = linalg.matrix_rank
+
+    def recording(a, tol):
+        rank = matrix_rank(a, tol)
+        decisions.append(rank == a.shape[1])
+        return rank
+
+    monkeypatch.setattr(linalg, "matrix_rank", recording)
+    return decisions
+
+
+def test_nearly_dependent_classes_raise_through_the_svd(basis, monkeypatch):
+    # a class within 1e-12 of a boundary: the Gram certificate cannot
+    # decide, and the SVD finds [B | h] rank deficient
+    tc = twist(circle(), diag_rep(2.0), basis)
+    hd = homology(tc)
+    near_boundary = hd.boundary_basis[0][:, :1] + 1e-12 * hd.h_basis[0]
+    decisions = record_rank_decisions(monkeypatch)
+    with pytest.raises(BadHomologyBasisError, match="dependent modulo boundaries"):
+        build_splitting(tc, hd, [near_boundary, hd.h_basis[1]])
+    assert decisions == [False]
+
+
+def test_nearly_singular_split_basis_raises_through_the_svd(basis, monkeypatch):
+    # two boundary vectors of degree 0 within 1e-12 of each other pass the
+    # homology checks, which use the orthonormal image basis, and make the
+    # split basis of degree 0 singular in the SVD's judgement
+    tc = twist(circle(), diag_rep(2.0), basis)
+    hd = homology(tc)
+    b = hd.boundary_basis[0]
+    bases = [np.hstack([b[:, :1], b[:, :1] + 1e-12 * b[:, 1:]]), hd.boundary_basis[1]]
+    decisions = record_rank_decisions(monkeypatch)
+    with pytest.raises(SplittingError, match="degree 0: split basis is singular"):
+        build_splitting(tc, hd, boundary_bases=bases)
+    assert decisions == [False]
