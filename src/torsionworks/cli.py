@@ -9,8 +9,10 @@ Exit codes: 0 success / verification passed, 1 input error or failed
 verification, 2 rank ambiguity.  Reports are printed with a stable key
 order; ``--json`` emits the same data as JSON.  The rank tolerance is
 ``--tol``, else the analysed scenes' ``tolerance``, else the environment
-variable TORSIONWORKS_TOL, else the default.  Elapsed
-time goes to stderr so reports stay byte-identical across runs.
+variable TORSIONWORKS_TOL, else the default.  Every tolerance, like a
+scene's, must be a positive finite number, and ``--random-bases`` at
+least 1.  Elapsed time goes to stderr so reports stay byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -75,6 +77,22 @@ def _load_scene(path: str):
     return scene, digest
 
 
+def _positive_finite(name: str, value: float) -> float:
+    """``value``, when it is a positive finite number as a scene's tolerance is."""
+    if not 0 < value <= sys.float_info.max:
+        raise TorsionworksError(f"{name} must be a positive finite number, got {value:g}")
+    return value
+
+
+def _check_flags(args):
+    """Reject a numeric flag outside its range, naming the flag."""
+    if args.tol is not None:
+        _positive_finite("--tol", args.tol)
+    _positive_finite("--pass-tol", args.pass_tol)
+    if getattr(args, "random_bases", 1) < 1:
+        raise TorsionworksError(f"--random-bases must be at least 1, got {args.random_bases}")
+
+
 def _tolerance(args, scenes) -> float:
     """``--tol``, else the ``tolerance`` set by the analysed ``(path, scene)``
     pairs (which must agree), else TORSIONWORKS_TOL, else DEFAULT_TOL."""
@@ -93,9 +111,7 @@ def _tolerance(args, scenes) -> float:
             value = float(env)
         except ValueError:
             raise SceneError(f"TORSIONWORKS_TOL={env!r} is not a number") from None
-        if not value > 0:
-            raise SceneError("TORSIONWORKS_TOL must be positive")
-        return value
+        return _positive_finite("TORSIONWORKS_TOL", value)
     return DEFAULT_TOL
 
 
@@ -272,6 +288,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     start = time.perf_counter()
     try:
+        _check_flags(args)
         code = args.func(args)
     except RankAmbiguityError as exc:
         sys.stderr.write(f"rank ambiguity: {exc}\n")

@@ -13,18 +13,18 @@ map are placements at the coordinates ``DiskSumResult.cell_maps`` gives.
 Alpha = (i1, -i2) embeds the disk's one cell as cell 0 of each factor;
 it is a small matrix, and the connecting map solves against it.
 
-The homology long exact sequence, read right to left, is the 12-space
-acyclic complex used here:
+The homology long exact sequence, read right to left, is the acyclic
+complex used here, of 3(n + 1) spaces for M of dimension n:
 
     space 3p   : H_p(M)
     space 3p+1 : H_p(M1) (+) H_p(M2)
     space 3p+2 : H_p(D)          (zero above degree 0)
 
-``MvSequence`` is that sequence as a chain complex with d = 1, with its
-assigned bases and its split basis, built once.  The torsion of that
-sequence in assigned homology bases is the corrective term; with the
-bases produced by ``transport_bases`` it equals 1 exactly, which reduces
-the gluing formula
+``MvSequence`` is that sequence as a chain complex with d = 1 and its
+split basis, built once.  Its torsion in assigned homology bases, an
+argument of ``corrective_term``, is the corrective term; in the bases
+``transport_bases`` assigns it equals 1 exactly, which reduces the
+gluing formula
 
     T(M1) * T(M2) = T(M) * T(D) * (corrective term)
 
@@ -33,7 +33,7 @@ to plain multiplicativity T(M) = T(M1) * T(M2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .algebra import (
     orthonormal_sl2_basis,
 )
 from .complexes import (
-    MAX_DIMENSION,
     CwComplexData,
     HomologyData,
     TwistedChainComplex,
@@ -56,7 +55,13 @@ from .complexes import (
     twist,
     untwisted_betti0,
 )
-from .errors import DiskSumError, HomologyError, SequenceError, TransportError
+from .errors import (
+    DiskSumError,
+    HomologyError,
+    SequenceError,
+    TorsionworksError,
+    TransportError,
+)
 from .linalg import DEFAULT_TOL, DEFECT_TOL, PASS_TOL
 from .scenes import disk
 from .torsion import (
@@ -67,10 +72,6 @@ from .torsion import (
     torsion,
     torsion_of,
 )
-
-# the sequence has three spaces per degree: H_p(M), H_p(M1) (+) H_p(M2), H_p(D)
-DEGREES = MAX_DIMENSION + 1
-
 
 # ---------------------------------------------------------------------------
 # disk sum of CW data
@@ -233,7 +234,7 @@ def _class_coordinates(vectors, h, boundary, tol):
 
 
 # ---------------------------------------------------------------------------
-# the 12-space sequence
+# the Mayer-Vietoris sequence
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -256,37 +257,34 @@ class GluedPair:
 class MvSequence(TwistedChainComplex):
     """The homology long exact sequence of a disk sum, as a based complex.
 
-    A chain complex with d = 1: ``mats[q - 1]`` maps space q into space
-    q - 1.  Each space's coordinates are taken in homology bases
-    (cycle-vector columns), so the maps are plain matrices and the
-    default assigned bases are identities.  In the direct-sum space 3p+1
-    the coordinates of ``h_factors[0][p]`` come first and those of
-    ``h_factors[1][p]`` last.  ``mv_sequence`` checks exactness and
-    builds ``split`` once; ``with_bases`` copies carry it, since they
-    have the same maps and the split ignores the bases.
+    A chain complex with d = 1, three spaces per degree of the glued
+    complex: ``mats[q - 1]`` maps space q into space q - 1.  Each
+    space's coordinates are taken in homology bases (cycle-vector
+    columns), so the maps are plain matrices and the identity is each
+    space's default basis; ``corrective_term`` takes any other as an
+    argument.  In the direct-sum space 3p+1 the coordinates of
+    ``h_factors[0][p]`` come first and those of ``h_factors[1][p]``
+    last.  ``mv_sequence`` checks exactness and builds ``split`` once.
     """
 
-    bases: list[np.ndarray]
     h_factors: tuple[list[np.ndarray], list[np.ndarray]]
     split: HomologySplitting
 
-    def with_bases(self, bases) -> "MvSequence":
-        return replace(self, bases=[np.asarray(b, dtype=complex) for b in bases])
 
-
-def _padded(hlist, dims):
-    """``hlist`` with empty bases appended, one basis per degree."""
+def _padded(hlist, dims, degrees):
+    """``hlist`` with empty bases appended, one basis per degree below ``degrees``."""
     return [hlist[p] if p < len(hlist)
             else linalg.empty_matrix(dims[p] if p < len(dims) else 0)
-            for p in range(DEGREES)]
+            for p in range(degrees)]
 
 
 def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
                 tol: float = DEFAULT_TOL) -> MvSequence:
-    """Assemble the 12-space sequence of ``pair`` in the given homology bases.
+    """Assemble the sequence of ``pair`` in the given homology bases.
 
-    Omitted bases are the canonical representatives of ``pair``'s
-    homology data.  The maps are induced on homology coordinates:
+    It has 3(n + 1) spaces, n the dimension of ``pair.tcm``.  Omitted
+    bases are the canonical representatives of ``pair``'s homology
+    data.  The maps are induced on homology coordinates:
     inclusion-induced maps in each degree, plus the connecting map
     computed by the usual zig-zag (lift along beta, take the boundary,
     pull back along alpha).  Beta only relabels cells, so its maps are
@@ -302,9 +300,10 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
     h1 = list(pair.hd1.h_basis if h1 is None else h1)
     h2 = list(pair.hd2.h_basis if h2 is None else h2)
     hm = list(pair.hdm.h_basis if hm is None else hm)
-    hdisk = list(pair.hdd.h_basis[:1] if hdisk is None else hdisk)
-    b1, b2 = _padded(h1, tc1.dims), _padded(h2, tc2.dims)
-    bm, bd = _padded(hm, tcm.dims), _padded(hdisk, tcd.dims)
+    hdisk = list(pair.hdd.h_basis if hdisk is None else hdisk)
+    degrees = tcm.dimension + 1
+    b1, b2 = _padded(h1, tc1.dims, degrees), _padded(h2, tc2.dims, degrees)
+    bm, bd = _padded(hm, tcm.dims, degrees), _padded(hdisk, tcd.dims, degrees)
 
     ds, d = pair.ds, tcm.d
     at1, at2 = [[_coordinates(cells, d) for cells in maps] for maps in ds.cell_maps]
@@ -314,13 +313,12 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
     alpha[:d] = np.eye(d)
     alpha[n1:n1 + d] = -np.eye(d)
 
-    dims = []
-    for p in range(DEGREES):
-        dims += [bm[p].shape[1], b1[p].shape[1] + b2[p].shape[1], bd[p].shape[1]]
+    dims = [n for p in range(degrees)
+            for n in (bm[p].shape[1], b1[p].shape[1] + b2[p].shape[1], bd[p].shape[1])]
 
     # maps[q - 1] maps space q into space q - 1
     maps: list[np.ndarray] = []
-    for p in range(DEGREES):
+    for p in range(degrees):
         q = 3 * p
         # beta-induced: H_p(M1) (+) H_p(M2) -> H_p(M)
         mat = np.zeros((dims[q], dims[q + 1]), dtype=complex)
@@ -344,7 +342,7 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
         maps.append(mat)
 
         # connecting map: H_{p+1}(M) -> H_p(D)
-        if p + 1 < DEGREES:
+        if p + 1 < degrees:
             mat = np.zeros((dims[q + 2], dims[q + 3]), dtype=complex)
             if dims[q + 3] and dims[q + 2]:
                 z = bm[p + 1]
@@ -363,8 +361,7 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
     hd = verify_exactness(tc, tol)
     split = build_splitting(tc, hd, tol=tol,
                             boundary_bases=_split_boundary_bases(tc, hd.boundary_basis))
-    return MvSequence(1, dims, maps, bases=[np.eye(n, dtype=complex) for n in dims],
-                      h_factors=(h1, h2), split=split)
+    return MvSequence(1, dims, maps, h_factors=(h1, h2), split=split)
 
 
 def verify_exactness(tc: TwistedChainComplex, tol: float = DEFAULT_TOL) -> HomologyData:
@@ -411,16 +408,17 @@ def _split_boundary_bases(seq: TwistedChainComplex,
     return out
 
 
-def corrective_term(seq: MvSequence) -> TorsionResult:
-    """Torsion of the exact sequence in its assigned bases.
+def corrective_term(seq: MvSequence, bases=None) -> TorsionResult:
+    """Torsion of the exact sequence in the assigned bases ``bases``.
 
-    The sequence is acyclic, so every homology basis is empty and each
-    space splits as b_q + s_q(b_{q-1}), with the boundary bases b_q of
-    ``_split_boundary_bases``: the same split basis that
-    ``transport_bases`` normalizes.  The value does not depend on that
-    choice; the per-degree determinants do.
+    ``bases[q]`` is the basis of space q in its homology coordinates;
+    None, for ``bases`` or an entry, is the identity, which ``torsion``
+    skips.  The sequence is acyclic, so each space splits as b_q +
+    s_q(b_{q-1}), with the boundary bases b_q of ``_split_boundary_bases``
+    that ``transport_bases`` normalizes.  The value does not depend on
+    that choice; the per-degree determinants do.
     """
-    return torsion(seq, seq.split, reference_bases=seq.bases)
+    return torsion(seq, seq.split, reference_bases=bases)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +435,8 @@ class TransportedBases:
     here; the leading vector of the space absorbs (det A)^{-1}.
     ``residual`` is the corrective term left after that step, folded
     into the leading vector of the first nonzero direct-sum space, so
-    the corrective term is 1 for every exact sequence.
+    ``corrective``, the corrective term in the bases so assigned, is 1
+    for every exact sequence.
 
     Each per-degree determinant of the corrective term depends on the
     boundary bases b_q; only their alternating product is basis-free.
@@ -451,7 +450,7 @@ class TransportedBases:
     transport_matrices: list[np.ndarray]
     det_a: list[complex]
     residual: complex
-    coordinate_scalings: list[np.ndarray] = field(default_factory=list)
+    corrective: TorsionResult
 
 
 def transport_bases(seq: MvSequence) -> TransportedBases:
@@ -462,17 +461,17 @@ def transport_bases(seq: MvSequence) -> TransportedBases:
     [boundary basis | section of the previous boundary basis], with the
     boundary bases of ``_split_boundary_bases`` that ``corrective_term``
     also uses; the determinant of that rewrite is pushed into the first
-    factor vector.  A final rescale of one vector cancels whatever the
-    fixed (M and D) spaces contribute.  When the disk inclusion injects
-    that rescale is 1 and every per-degree determinant of the corrective
-    term is 1; otherwise only their alternating product is.
+    factor vector, a diagonal basis of the space; every other space
+    keeps None, the identity.  A final rescale of one vector cancels
+    whatever the fixed (M and D) spaces contribute; ``TransportedBases``
+    says when every per-degree determinant is 1.
     """
-    bases = [b.copy() for b in seq.bases]
+    direct_sums = range(1, len(seq.dims), 3)
+    bases: list[np.ndarray | None] = [None] * len(seq.dims)
     a_matrices = []
     det_as = []
 
-    for p in range(DEGREES):
-        q = 3 * p + 1
+    for q in direct_sums:
         if seq.dims[q] == 0:
             a_matrices.append(linalg.empty_matrix(0))
             det_as.append(complex(1.0))
@@ -485,12 +484,13 @@ def transport_bases(seq: MvSequence) -> TransportedBases:
         det_a = complex(np.linalg.det(a))
         if det_a == 0 or not np.isfinite(det_a):
             raise TransportError(f"space {q}: transport matrix determinant is {det_a}")
+        bases[q] = np.eye(seq.dims[q], dtype=complex)
         bases[q][:, 0] /= det_a
         a_matrices.append(a)
         det_as.append(det_a)
 
-    residual = corrective_term(seq.with_bases(bases)).value
-    slot = next((3 * p + 1 for p in range(DEGREES) if seq.dims[3 * p + 1]), None)
+    residual = corrective_term(seq, bases).value
+    slot = next((q for q in direct_sums if seq.dims[q]), None)
     if slot is None:
         if not abs(residual - 1.0) <= PASS_TOL:
             raise TransportError(
@@ -503,10 +503,12 @@ def transport_bases(seq: MvSequence) -> TransportedBases:
         bases[slot][:, 0] *= residual ** ((-1) ** slot)
 
     def rescaled(h, p, factor):
-        k, n = h.shape[1], seq.dims[3 * p + 1]
+        space = bases[3 * p + 1]
+        if space is None:
+            return h
+        k, n = h.shape[1], space.shape[0]
         rows = slice(0, k) if factor == 0 else slice(n - k, n)
-        scale = bases[3 * p + 1][rows, rows]
-        return h @ scale if scale.size else h
+        return h @ space[rows, rows]
 
     return TransportedBases(
         h_m1=[rescaled(h, p, 0) for p, h in enumerate(seq.h_factors[0])],
@@ -514,7 +516,7 @@ def transport_bases(seq: MvSequence) -> TransportedBases:
         transport_matrices=a_matrices,
         det_a=det_as,
         residual=residual,
-        coordinate_scalings=bases,
+        corrective=corrective_term(seq, bases),
     )
 
 
@@ -572,7 +574,7 @@ class MvIdentityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
+        return max(self.residuals)
 
     @property
     def passed(self) -> bool:
@@ -582,15 +584,16 @@ class MvIdentityReport:
 def verify_mv_identity(pair: GluedPair, draws: int = 10, seed: int = 0,
                        tol: float = DEFAULT_TOL,
                        pass_tol: float = PASS_TOL) -> MvIdentityReport:
-    """Check T(M1) T(M2) = T(M) T(D) T(sequence) on random homology bases."""
+    """Check T(M1) T(M2) = T(M) T(D) T(sequence) on ``draws`` >= 1 random bases."""
+    if draws < 1:
+        raise TorsionworksError(f"verify_mv_identity needs at least one draw, got {draws}")
     rng = np.random.default_rng(seed)
     residuals = []
-    dims = None
     for _ in range(draws):
         h1 = linalg.random_recombination(pair.hd1.h_basis, rng)
         h2 = linalg.random_recombination(pair.hd2.h_basis, rng)
         hm = linalg.random_recombination(pair.hdm.h_basis, rng)
-        hdisk = linalg.random_recombination(pair.hdd.h_basis, rng)[:1]
+        hdisk = linalg.random_recombination(pair.hdd.h_basis, rng)
         seq = mv_sequence(pair, h1=h1, h2=h2, hm=hm, hdisk=hdisk, tol=tol)
         t1 = torsion_of(pair.tc1, pair.hd1, h1, tol=tol).value
         t2 = torsion_of(pair.tc2, pair.hd2, h2, tol=tol).value
@@ -598,11 +601,9 @@ def verify_mv_identity(pair: GluedPair, draws: int = 10, seed: int = 0,
         td = torsion_of(pair.tcd, pair.hdd, hdisk, tol=tol).value
         th = corrective_term(seq).value
         lhs = t1 * t2
-        rhs = tm * td * th
-        residuals.append(abs(lhs - rhs) / abs(lhs))
-        dims = seq.dims
+        residuals.append(abs(lhs - tm * td * th) / abs(lhs))
     n0 = (pair.hd1.betti[0], pair.hd2.betti[0], pair.hdm.betti[0], pair.hdd.betti[0])
-    return MvIdentityReport(dims=dims or [], draws=draws, residuals=residuals,
+    return MvIdentityReport(dims=seq.dims, draws=draws, residuals=residuals,
                             dimension_tail=n0, tolerance=pass_tol, seed=seed)
 
 
@@ -688,15 +689,13 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     t_total = total_torsion
     for k in range(len(factors) - 1, 0, -1):
         pair = pairs[k - 1]
-        seq = mv_sequence(pair, hm=current_h, tol=tol)
-        transported = transport_bases(seq)
-        corrective = corrective_term(seq.with_bases(transported.coordinate_scalings)).value
+        transported = transport_bases(mv_sequence(pair, hm=current_h, tol=tol))
         t_left = torsion_of(pair.tc1, pair.hd1, transported.h_m1, tol=tol).value
         t_right = torsion_of(pair.tc2, pair.hd2, transported.h_m2, tol=tol).value
         steps.append(MultiplicativityStep(
             left_name=left_names[k - 1],
             right_name=factors[k].name,
-            corrective=corrective,
+            corrective=transported.corrective.value,
             det_a=transported.det_a,
             total_torsion=t_total,
             left_torsion=t_left,

@@ -59,7 +59,8 @@ GRAM_RADIUS = 0.5
 GRAM_TOL_LIMIT = 0.5
 
 # a norm below this may have lost squares of entries to underflow, so it
-# is taken again on the entries divided by the largest modulus
+# is taken again on the entries divided by the largest modulus, as is an
+# infinite norm, whose squares overflowed
 UNDERFLOW_FLOOR = 1e-150
 
 
@@ -73,32 +74,55 @@ def operator_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
+@np.errstate(over="ignore")
 def frobenius_norm(a):
     """Frobenius norm, an upper bound on the 2-norm (0 when ``a`` is empty).
 
     A norm below ``UNDERFLOW_FLOOR``, where squares of entries underflow,
-    is taken again on ``a`` over its largest modulus.
+    or an infinite one, where they overflow, is taken again on ``a`` over
+    its largest modulus when that is finite.
     """
     n = float(np.linalg.norm(a))
-    s = float(np.abs(a).max(initial=0.0)) if n < UNDERFLOW_FLOOR else 0.0
-    return s * float(np.linalg.norm(a / s)) if s else n
+    if n < UNDERFLOW_FLOOR or n == np.inf:
+        s = float(np.abs(a).max(initial=0.0))
+        if 0 < s < np.inf:
+            n = s * float(np.linalg.norm(a / s))
+    return n
+
+
+def _column_sums(a):
+    """The 2-norm of each column as the plain root of its sum of squares."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=0))
+
+
+# the sums with an overflow raised, or left at inf; a decorated call
+# costs less than a ``with np.errstate`` block on the checks' small matrices
+_sums_or_raise = np.errstate(over="raise", invalid="ignore")(_column_sums)
+_sums_to_inf = np.errstate(over="ignore", invalid="ignore")(_column_sums)
 
 
 def column_norms(a):
     """The 2-norm of each column of ``a``.
 
     A norm below ``UNDERFLOW_FLOOR``, where squares of entries underflow,
-    is taken again on its column over the column's largest modulus.  The
-    sum is the one ``numpy.linalg.norm(a, axis=0)`` takes, bit for bit,
-    without that call's argument handling, which costs more than the sum
-    on the small matrices of the checks.
+    or an infinite one, where they overflow, is taken again on its column
+    over the column's largest modulus when that is finite.  The sum is
+    the one ``numpy.linalg.norm(a, axis=0)`` takes, bit for bit, without
+    that call's argument handling, which costs more than the sum on the
+    small matrices of the checks.  An overflow raises as it happens, so
+    norms in the normal range cost no second pass.
     """
-    n = np.sqrt(np.add.reduce((a.conj() * a).real, axis=0))
-    if n.min(initial=UNDERFLOW_FLOOR) < UNDERFLOW_FLOOR:
-        low = n < UNDERFLOW_FLOOR
-        s = np.abs(a[:, low]).max(axis=0, initial=0.0)
-        s[s == 0] = 1.0
-        n[low] = s * np.linalg.norm(a[:, low] / s, axis=0)
+    try:
+        n, overflowed = _sums_or_raise(a), False
+    except FloatingPointError:
+        n, overflowed = _sums_to_inf(a), True
+    # a NaN norm takes this branch too, so it cannot hide an underflowed one
+    if overflowed or not UNDERFLOW_FLOOR <= n.min(initial=UNDERFLOW_FLOOR):
+        redo = (n < UNDERFLOW_FLOOR) | (n == np.inf)
+        s = np.abs(a[:, redo]).max(axis=0, initial=0.0)
+        s[(s == 0) | (s == np.inf)] = 1.0
+        with np.errstate(over="ignore"):
+            n[redo] = s * _sums_to_inf(a[:, redo] / s)
     return n
 
 

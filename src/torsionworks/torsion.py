@@ -53,6 +53,7 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
 
     ``h_bases[p]`` supplies cycle vectors whose classes form a basis of
     H_p; it defaults to the representatives chosen by ``homology``.
+    Vectors supplied above the top degree are rejected.
     The basis of each B_p defaults to the orthonormal image basis
     ``hd.boundary_basis``; ``boundary_bases`` overrides it (any spanning
     choice is valid) and ``section_cycles`` adds cycle components to the
@@ -68,6 +69,10 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
     rank SVD.
     """
     n = len(tc.dims) - 1
+    for p in range(n + 1, 0 if h_bases is None else len(h_bases)):
+        if h_bases[p] is not None and np.asarray(h_bases[p]).size:
+            raise BadHomologyBasisError(
+                f"degree {p}: homology vectors supplied above the top degree {n}")
     bs = list(boundary_bases if boundary_bases is not None else hd.boundary_basis)
     hs = []
     for p in range(n + 1):

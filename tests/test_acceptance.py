@@ -16,7 +16,6 @@ from torsionworks.algebra import (
 from torsionworks.complexes import change_lift, homology, twist
 from torsionworks.glue import (
     analyze_disk_sum,
-    corrective_term,
     mv_sequence,
     transport_bases,
     verify_multiplicativity,
@@ -162,9 +161,7 @@ def test_criterion_6_corrective_term_vanishing():
     for name, m1, r1, m2, r2 in glued_models():
         pair = analyze_disk_sum(m1, r1, m2, r2)
         seq = build_sequence(pair)
-        transported = transport_bases(seq)
-        value = corrective_term(
-            seq.with_bases(transported.coordinate_scalings)).value
+        value = transport_bases(seq).corrective.value
         worst = max(worst, abs(value - 1.0))
     report(6, "corrective-term-unity", worst <= 1e-6,
            f"max |corrective - 1| = {worst:.2e}")
@@ -195,7 +192,7 @@ def test_criterion_8_exactness_suite():
     for name, m1, r1, m2, r2 in glued_models():
         pair = analyze_disk_sum(m1, r1, m2, r2)
         seq = build_sequence(pair)  # exactness asserted during assembly
-        for p in range(1, 12):
+        for p in range(1, len(seq.dims)):
             dout, din = seq.boundary(p), seq.boundary(p + 1)
             if dout.shape[1] and din.shape[1]:
                 worst_comp = max(worst_comp, operator_norm(dout @ din))

@@ -9,6 +9,8 @@ import pytest
 
 from torsionworks.algebra import Representation, Target
 from torsionworks.cli import main
+from torsionworks.errors import TorsionworksError
+from torsionworks.glue import analyze_disk_sum, verify_mv_identity
 from torsionworks.scenes import circle, point, scene_text, wedge_of_circles
 
 from conftest import diag_rep, random_sl2
@@ -211,9 +213,66 @@ def test_malformed_scene_is_an_input_error(tmp_path, capsys, key, value):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+# each numeric flag outside its range: flag, value
+BAD_FLAGS = {
+    "zero_tol": ("--tol", "0"),
+    "negative_tol": ("--tol", "-1e-8"),
+    "infinite_tol": ("--tol", "inf"),
+    "tol_beyond_the_float_range": ("--tol", "1e400"),
+    "nan_tol": ("--tol", "nan"),
+    "zero_pass_tol": ("--pass-tol", "0"),
+    "infinite_pass_tol": ("--pass-tol", "inf"),
+    "nan_pass_tol": ("--pass-tol", "nan"),
+}
+
+
+@pytest.mark.parametrize("flag, value", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_tolerance_flags_must_be_positive_finite(scene_dir, capsys, flag, value):
+    wedge = scene_dir["wedge2"]
+    for argv in (["torsion", wedge], ["verify-mv", wedge, wedge],
+                 ["verify-theorem1", wedge, wedge]):
+        code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+        assert code == 1, argv
+        assert out == ""
+        assert err == f"error: {flag} must be a positive finite number, got {float(value):g}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-8", "inf", "nan"])
+def test_tolerance_env_must_be_positive_finite(scene_dir, capsys, monkeypatch, value):
+    monkeypatch.setenv("TORSIONWORKS_TOL", value)
+    code, out, err = run_cli(capsys, "torsion", scene_dir["wedge2"])
+    assert code == 1
+    assert out == ""
+    assert err == ("error: TORSIONWORKS_TOL must be a positive finite number, "
+                   f"got {float(value):g}\n")
+
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_verify_mv_needs_a_random_basis(scene_dir, capsys, draws):
+    wedge = scene_dir["wedge2"]
+    code, out, err = run_cli(capsys, "verify-mv", wedge, wedge, "--random-bases", draws)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --random-bases must be at least 1, got {draws}\n"
+    pair = analyze_disk_sum(wedge_of_circles(2), diag_rep(2.0, 3.0),
+                            wedge_of_circles(2), diag_rep(2.0, 3.0))
+    with pytest.raises(TorsionworksError, match="at least one draw"):
+        verify_mv_identity(pair, draws=int(draws))
+
+
 # ---------------------------------------------------------------------------
 # verify-mv subcommand
 # ---------------------------------------------------------------------------
+
+def test_verify_mv_sequence_has_three_spaces_per_degree(scene_dir, capsys):
+    # two wedges glue to a 1-dimensional complex: 3 * (1 + 1) spaces
+    code, out, _ = run_cli(capsys, "verify-mv", scene_dir["wedge2"], scene_dir["wedge2"],
+                           "--random-bases", "2", "--json")
+    assert code == 0
+    dims = json.loads(out)["sequence_dims"]
+    assert len(dims) == 6
+    assert sum((-1) ** q * n for q, n in enumerate(dims)) == 0
+
 
 def test_verify_mv_points(scene_dir, capsys):
     code, out, _ = run_cli(capsys, "verify-mv", scene_dir["point"],
@@ -361,6 +420,23 @@ def test_h_file_skipping_a_degree_is_an_input_error(scene_dir, tmp_path, capsys)
     assert code == 1
     assert out == ""
     assert "degree 0" in err and str(h_path) in err
+
+
+def test_h_file_above_the_glued_dimension_is_an_input_error(scene_dir, tmp_path, capsys):
+    # a 2-dimensional h-file scene can name degree-2 classes, which two
+    # glued circles do not have
+    from conftest import torus
+    pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
+    h_bases = {p: pair.hdm.h_basis[p] for p in range(2)}
+    h_bases[2] = np.ones((3, 1), dtype=complex)
+    h_path = tmp_path / "torus_with_degree2.json"
+    h_path.write_text(scene_text(torus(), diag_rep(2.0, 3.0), h_bases=h_bases))
+    code, out, err = run_cli(capsys, "verify-theorem1", scene_dir["circle2"],
+                             scene_dir["circle3"], "--h-from", "file",
+                             "--h-file", str(h_path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: degree 2: homology vectors supplied above the top degree 1\n"
 
 
 def test_h_file_with_an_empty_degree_matches_canonical(tmp_path, capsys):

@@ -131,16 +131,33 @@ def test_free_product_rep_target_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# the 12-space sequence
+# the Mayer-Vietoris sequence
 # ---------------------------------------------------------------------------
 
 def test_sequence_point_point_degree_zero_tail():
     pair = analyze_disk_sum(point(), Representation.trivial(0),
                             point(), Representation.trivial(0))
     seq = build_sequence(pair)
-    assert seq.dims == [3, 6, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert seq.dims == [3, 6, 3]
     # 0 -> C3 -> C6 -> C3 -> 0 exact, and the bookkeeping identity holds
     assert seq.dims[1] == seq.dims[0] + seq.dims[2]
+
+
+def test_sequence_has_three_spaces_per_degree_of_the_glued_complex():
+    cases = [
+        (point(), Representation.trivial(0), point(), Representation.trivial(0), 3),
+        (circle(), diag_rep(2.0), circle(), diag_rep(3.0), 6),
+        (circle(), diag_rep(2.0), torus(), diag_rep(3.0, 5.0), 9),
+        (torus(), diag_rep(2.0, 3.0), bouquet(), diag_rep(2.5), 12),
+    ]
+    for m1, r1, m2, r2, spaces in cases:
+        pair = analyze_disk_sum(m1, r1, m2, r2)
+        seq = build_sequence(pair)
+        assert len(seq.dims) == 3 * (pair.tcm.dimension + 1) == spaces
+        assert len(seq.mats) == spaces - 1
+        assert len(transport_bases(seq).det_a) == pair.tcm.dimension + 1
+        report = verify_multiplicativity([m1, m2], [r1, r2])
+        assert [len(step.det_a) for step in report.steps] == [pair.tcm.dimension + 1]
 
 
 def test_sequence_circle_circle_dimensions():
@@ -150,7 +167,7 @@ def test_sequence_circle_circle_dimensions():
     # the wedge has a 4-dimensional degree-1 homology (brute-forced in
     # test_complexes/test_glue) and the disk image has rank 1
     assert pair.hdm.betti == [1, 4]
-    assert seq.dims == [1, 2, 3, 4, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert seq.dims == [1, 2, 3, 4, 2, 0]
     rank_alpha = matrix_rank(seq.boundary(2), 1e-8)
     assert seq.dims[1] == seq.dims[0] + rank_alpha
     # the printed identity with the full disk dimension needs an injective
@@ -198,7 +215,7 @@ def test_sequence_exactness_suite():
     for m1, r1, m2, r2 in models:
         pair = analyze_disk_sum(m1, r1, m2, r2)
         seq = build_sequence(pair)  # verify_exactness runs inside
-        for p in range(1, 12):
+        for p in range(1, len(seq.dims)):
             dout, din = seq.boundary(p), seq.boundary(p + 1)
             if dout.shape[1] and din.shape[1]:
                 assert np.linalg.norm(dout @ din) <= 1e-8
@@ -223,7 +240,6 @@ def test_exactness_rejects_dimensions_that_do_not_alternate_to_zero():
 def test_copies_and_transport_read_the_split_mv_sequence_built(monkeypatch):
     pair = analyze_disk_sum(wedge_of_circles(2), diag_rep(2.0, 3.0), circle(), diag_rep(5.0))
     seq = build_sequence(pair)
-    assert seq.with_bases([2.0 * b for b in seq.bases]).split is seq.split
     read = []
     assembled, torsion_value = glue.assembled_matrix, glue.torsion
 
@@ -246,10 +262,13 @@ def test_copies_and_transport_read_the_split_mv_sequence_built(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_corrective_term_zero_sequence_is_one():
-    # twelve zero spaces are exact, and each contributes the empty product
-    zero = TwistedChainComplex(1, [0] * 12, [np.zeros((0, 0), dtype=complex)] * 11)
-    split = build_splitting(zero, verify_exactness(zero))
-    assert torsion(zero, split).value == pytest.approx(1.0)
+    # zero spaces are exact, and each contributes the empty product
+    for n in range(4):
+        spaces = 3 * (n + 1)
+        zero = TwistedChainComplex(1, [0] * spaces,
+                                   [np.zeros((0, 0), dtype=complex)] * (spaces - 1))
+        split = build_splitting(zero, verify_exactness(zero))
+        assert torsion(zero, split).value == pytest.approx(1.0)
 
 
 def test_corrective_term_scaling_covariance():
@@ -257,9 +276,10 @@ def test_corrective_term_scaling_covariance():
     seq = build_sequence(pair)
     base = corrective_term(seq).value
     alpha = 0.6 + 1.1j
-    bases = [b.copy() for b in seq.bases]
+    bases = [None] * len(seq.dims)
+    bases[1] = np.eye(seq.dims[1], dtype=complex)
     bases[1][:, 0] *= alpha
-    scaled = corrective_term(seq.with_bases(bases)).value
+    scaled = corrective_term(seq, bases).value
     # scaling one assigned basis vector of the odd space C_1 multiplies
     # the torsion of the sequence by alpha
     assert scaled == pytest.approx(base * alpha, rel=1e-9)
@@ -280,8 +300,7 @@ def test_transport_makes_corrective_term_one():
         for a in transported.transport_matrices:
             if a.size:
                 assert abs(np.linalg.det(a)) > 1e-12
-        value = corrective_term(seq.with_bases(transported.coordinate_scalings)).value
-        assert value == pytest.approx(1.0, abs=1e-9)
+        assert transported.corrective.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_transport_point_point_with_geometric_disk_basis():
@@ -289,8 +308,7 @@ def test_transport_point_point_with_geometric_disk_basis():
                             point(), Representation.trivial(0))
     seq = build_sequence(pair, hdisk=[np.eye(3, dtype=complex)])
     transported = transport_bases(seq)
-    value = corrective_term(seq.with_bases(transported.coordinate_scalings)).value
-    assert value == pytest.approx(1.0, abs=1e-12)
+    assert transported.corrective.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transport_identity_when_second_factor_empty():
@@ -462,8 +480,7 @@ def test_transport_per_degree_determinants_clean_regime():
                             point(), Representation.trivial(0))
     seq = build_sequence(pair)
     transported = transport_bases(seq)
-    result = corrective_term(seq.with_bases(transported.coordinate_scalings))
-    for p, det in enumerate(result.per_degree_determinants):
+    for p, det in enumerate(transported.corrective.per_degree_determinants):
         assert det == pytest.approx(1.0, abs=1e-9), (p, det)
 
 
@@ -566,14 +583,17 @@ def dense_inclusion_maps(pair, tol=DEFAULT_TOL):
     alpha[base1:base1 + d] = np.eye(d)
     alpha[base2:base2 + d] = -np.eye(d)
 
-    b1, b2 = glue._padded(pair.hd1.h_basis, tc1.dims), glue._padded(pair.hd2.h_basis, tc2.dims)
-    bm, bd = glue._padded(pair.hdm.h_basis, tcm.dims), glue._padded(pair.hdd.h_basis[:1], tcd.dims)
+    degrees = tcm.dimension + 1
+    b1 = glue._padded(pair.hd1.h_basis, tc1.dims, degrees)
+    b2 = glue._padded(pair.hd2.h_basis, tc2.dims, degrees)
+    bm = glue._padded(pair.hdm.h_basis, tcm.dims, degrees)
+    bd = glue._padded(pair.hdd.h_basis, tcd.dims, degrees)
     dims = []
-    for p in range(glue.DEGREES):
+    for p in range(degrees):
         dims += [bm[p].shape[1], b1[p].shape[1] + b2[p].shape[1], bd[p].shape[1]]
     # maps[q - 1] maps space q into space q - 1
     maps = []
-    for p in range(glue.DEGREES):
+    for p in range(degrees):
         q = 3 * p
         mat = np.zeros((dims[q], dims[q + 1]), dtype=complex)
         if dims[q] and dims[q + 1]:
@@ -589,7 +609,7 @@ def dense_inclusion_maps(pair, tol=DEFAULT_TOL):
                 glue._class_coordinates(images[tc1.dims[0]:], b2[0],
                                         pair.hd2.boundary_basis[0], tol)])
         maps.append(mat)
-        if p + 1 < glue.DEGREES:
+        if p + 1 < degrees:
             mat = np.zeros((dims[q + 2], dims[q + 3]), dtype=complex)
             if dims[q + 3] and dims[q + 2]:
                 lift, defect = min_norm_preimage(beta[p + 1], bm[p + 1], tol)
@@ -611,7 +631,7 @@ def test_placed_gluing_maps_equal_the_dense_inclusion_maps():
             pair = analyze_disk_sum(m1, r1, m2, r2)
             seq = mv_sequence(pair)
             reference = dense_inclusion_maps(pair)
-            assert len(seq.mats) == len(reference) == 11
+            assert len(seq.mats) == len(reference) == 3 * (pair.tcm.dimension + 1) - 1
             for q, (placed, dense) in enumerate(zip(seq.mats, reference), start=1):
                 assert placed.shape == dense.shape, (m1.name, m2.name, q)
                 assert placed.dtype == dense.dtype

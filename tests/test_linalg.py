@@ -92,6 +92,41 @@ def test_bounds_of_entries_whose_squares_underflow(scale):
     assert linalg.frobenius_norm(rank_one) == two_norm(rank_one)
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+def test_norms_of_entries_whose_squares_overflow(scale):
+    # the SVD overflows on these entries too, so the reference is the
+    # norm of the same entries at scale 1, rescaled
+    a = np.array([[3.0, 4.0j], [0.0, 1.0], [2.0 - 2.0j, 0.0]])
+    norms = linalg.column_norms(scale * a)
+    assert np.isfinite(norms).all()
+    assert norms == pytest.approx(scale * linalg.column_norms(a), rel=ULPS)
+    assert linalg.frobenius_norm(scale * a) == pytest.approx(
+        scale * linalg.frobenius_norm(a), rel=ULPS)
+    # one overflowing column leaves the others' sums as they were
+    mixed = np.hstack([a, scale * a[:, :1]])
+    assert linalg.column_norms(mixed)[:2].tobytes() == linalg.column_norms(a).tobytes()
+    # and a NaN column does not hide an overflowed one
+    with_nan = linalg.column_norms(np.hstack([np.full((3, 1), np.nan), scale * a]))
+    assert np.isnan(with_nan[0])
+    assert with_nan[1:] == pytest.approx(scale * linalg.column_norms(a), rel=ULPS)
+
+
+def test_norms_beyond_the_float_range_are_infinite():
+    a = np.array([[1.5e308, 1.0], [1.5e308, np.inf]])
+    assert linalg.column_norms(a).tolist() == [np.inf, np.inf]
+    assert linalg.frobenius_norm(a) == np.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes.flatmap(dense))
+def test_norms_in_the_normal_range_keep_every_bit(a):
+    # the plain sums of squares, which the overflow and underflow
+    # branches must leave untouched wherever no square leaves the range
+    assert linalg.column_norms(a).tobytes() == \
+        np.sqrt(np.add.reduce((a.conj() * a).real, axis=0)).tobytes()
+    assert linalg.frobenius_norm(a) == float(np.linalg.norm(a))
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (1, 6), (6, 1), (2, 7), (7, 2)])
 def test_bounds_of_zero_and_tall_wide_matrices(shape):
     zero = np.zeros(shape, dtype=complex)

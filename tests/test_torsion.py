@@ -85,6 +85,30 @@ def test_circle_lambda2_value(basis):
     assert expected == pytest.approx(9 / 4)
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e155, 1e200])
+def test_huge_homology_bases_keep_the_circle_torsion(basis, scale):
+    # scaling every homology class by the same factor leaves the torsion
+    # of the circle unchanged (one class in each degree); squares of the
+    # entries overflow from about 1e154, which the column norms of the
+    # independence check must survive
+    tc = twist(circle(), diag_rep(2.0), basis)
+    hd = homology(tc)
+    reference = torsion_of(tc, hd).value
+    value = torsion_of(tc, hd, [h * scale for h in hd.h_basis]).value
+    assert value == pytest.approx(reference, rel=1e-12)
+    assert value == pytest.approx(-2.25, rel=1e-12)
+
+
+def test_homology_vectors_above_the_top_degree_are_rejected(basis):
+    tc = twist(circle(), diag_rep(2.0), basis)
+    hd = homology(tc)
+    with pytest.raises(BadHomologyBasisError, match="degree 2: .* above the top degree 1"):
+        torsion_of(tc, hd, list(hd.h_basis) + [np.ones((3, 1), dtype=complex)])
+    # an empty basis there names no vector, and changes nothing
+    padded = torsion_of(tc, hd, list(hd.h_basis) + [np.zeros((3, 0), dtype=complex)])
+    assert padded.value == torsion_of(tc, hd).value
+
+
 def test_circle_trivial_rep_torsion_one(basis):
     tc = twist(circle(), Representation.trivial(1), basis)
     hd = homology(tc)
