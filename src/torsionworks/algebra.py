@@ -226,18 +226,16 @@ class GroupRingMatrix:
         grid = [list(row) for row in self.entries]
         for i in range(self.rows):
             grid[i][j] = grid[i][j].right_word_multiple(word)
-        return GroupRingMatrix.from_rows(grid)
+        return GroupRingMatrix(self.rows, self.cols, tuple(map(tuple, grid)))
 
     def row_left_multiplied(self, i: int, word: Word) -> "GroupRingMatrix":
         grid = [list(row) for row in self.entries]
         grid[i] = [e.left_word_multiple(word) for e in grid[i]]
-        return GroupRingMatrix.from_rows(grid)
+        return GroupRingMatrix(self.rows, self.cols, tuple(map(tuple, grid)))
 
-    def augmented(self) -> np.ndarray:
-        """Integer matrix of coefficient sums (untwisted boundary map)."""
-        return np.array(
-            [[e.coefficient_sum() for e in row] for row in self.entries], dtype=float
-        ).reshape(self.rows, self.cols)
+    def augmented(self) -> list[list[int]]:
+        """Coefficient sums (the untwisted boundary map), as rows of Python integers."""
+        return [[e.coefficient_sum() for e in row] for row in self.entries]
 
 
 # ---------------------------------------------------------------------------

@@ -84,12 +84,12 @@ def euler_characteristic(cw: CwComplexData) -> int:
     return sum((-1) ** p * m for p, m in enumerate(cw.cells))
 
 
-def untwisted_betti0(cw: CwComplexData, tol: float = DEFAULT_TOL) -> int:
-    """b_0 with constant integer coefficients; 1 means connected."""
+def untwisted_betti0(cw: CwComplexData) -> int:
+    """b_0 with rational coefficients, from the exact rank of the integer
+    boundary of the 1-cells; 1 means connected."""
     if cw.dimension == 0:
         return cw.cells[0]
-    d1 = cw.boundaries[0].augmented()
-    return cw.cells[0] - linalg.matrix_rank(d1.astype(complex), tol)
+    return cw.cells[0] - linalg.integer_rank(cw.boundaries[0].augmented())
 
 
 def change_lift(cw: CwComplexData, p: int, j: int, gamma: Word) -> CwComplexData:

@@ -21,8 +21,9 @@ complex used here, of 3(n + 1) spaces for M of dimension n:
     space 3p+2 : H_p(D)          (zero above degree 0)
 
 ``MvSequence`` is that sequence as a chain complex with d = 1 and its
-split basis, built once.  Its torsion in assigned homology bases, an
-argument of ``corrective_term``, is the corrective term; in the bases
+split basis, built once per pair in canonical homology bases.  Its
+torsion in any other bases, passed to ``corrective_term`` as coordinates
+in the canonical ones, is the corrective term; in the bases
 ``transport_bases`` assigns it equals 1 exactly, which reduces the
 gluing formula
 
@@ -96,8 +97,7 @@ class DiskSumResult:
     generator_maps: tuple[list[int], list[int]]
 
 
-def disk_sum(m1: CwComplexData, m2: CwComplexData,
-             tol: float = DEFAULT_TOL) -> DiskSumResult:
+def disk_sum(m1: CwComplexData, m2: CwComplexData) -> DiskSumResult:
     """Glue two connected complexes along one 0-cell (index 0 of each).
 
     The fundamental group is the free product and the Euler
@@ -106,7 +106,7 @@ def disk_sum(m1: CwComplexData, m2: CwComplexData,
     for m in (m1, m2):
         if m.cells[0] < 1:
             raise DiskSumError(f"factor {m.name!r} has no 0-cell to glue")
-        if untwisted_betti0(m, tol) != 1:
+        if untwisted_betti0(m) != 1:
             raise DiskSumError(f"factor {m.name!r} is not connected")
 
     g1 = m1.presentation.generator_count
@@ -126,14 +126,10 @@ def disk_sum(m1: CwComplexData, m2: CwComplexData,
     maps2: list[list[int]] = []
     for p in range(dim + 1):
         a, b = count(m1, p), count(m2, p)
-        if p == 0:
-            cells.append(a + b - 1)
-            maps1.append(list(range(a)))
-            maps2.append([0] + [a + j - 1 for j in range(1, b)])
-        else:
-            cells.append(a + b)
-            maps1.append(list(range(a)))
-            maps2.append([a + j for j in range(b)])
+        shared = int(p == 0)  # cell 0 of M2 is cell 0 of M1
+        cells.append(a + b - shared)
+        maps1.append(list(range(a)))
+        maps2.append([0] * shared + [a + j - shared for j in range(shared, b)])
 
     boundaries = []
     for p in range(1, dim + 1):
@@ -151,7 +147,7 @@ def disk_sum(m1: CwComplexData, m2: CwComplexData,
                     entry = _remap_element(src.entry(i, j), g1)
                     ti, tj = maps2[p - 1][i], maps2[p][j]
                     grid[ti][tj] = grid[ti][tj] + entry
-        boundaries.append(GroupRingMatrix.from_rows(grid))
+        boundaries.append(GroupRingMatrix(rows, cols, tuple(map(tuple, grid))))
 
     total = CwComplexData(
         name=f"{m1.name}+{m2.name}",
@@ -258,36 +254,34 @@ class MvSequence(TwistedChainComplex):
     """The homology long exact sequence of a disk sum, as a based complex.
 
     A chain complex with d = 1, three spaces per degree of the glued
-    complex: ``mats[q - 1]`` maps space q into space q - 1.  Each
-    space's coordinates are taken in homology bases (cycle-vector
-    columns), so the maps are plain matrices and the identity is each
-    space's default basis; ``corrective_term`` takes any other as an
-    argument.  In the direct-sum space 3p+1 the coordinates of
-    ``h_factors[0][p]`` come first and those of ``h_factors[1][p]``
-    last.  ``mv_sequence`` checks exactness and builds ``split`` once.
+    complex: ``mats[q - 1]`` maps space q into space q - 1.  Each space
+    is written in the pair's canonical homology bases (cycle-vector
+    columns), its default basis; every other basis is passed to
+    ``corrective_term`` as coordinates in these.  In the direct-sum
+    space 3p+1 the coordinates of ``h_factors[0][p]`` come first and
+    those of ``h_factors[1][p]`` last.  ``mv_sequence`` checks exactness
+    and builds ``split`` once.
     """
 
     h_factors: tuple[list[np.ndarray], list[np.ndarray]]
     split: HomologySplitting
 
 
-def _padded(hlist, dims, degrees):
+def _padded(hlist, degrees):
     """``hlist`` with empty bases appended, one basis per degree below ``degrees``."""
-    return [hlist[p] if p < len(hlist)
-            else linalg.empty_matrix(dims[p] if p < len(dims) else 0)
+    return [hlist[p] if p < len(hlist) else linalg.empty_matrix(0)
             for p in range(degrees)]
 
 
-def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
-                tol: float = DEFAULT_TOL) -> MvSequence:
-    """Assemble the sequence of ``pair`` in the given homology bases.
+def mv_sequence(pair: GluedPair, tol: float = DEFAULT_TOL) -> MvSequence:
+    """Assemble the sequence of ``pair`` in its canonical homology bases.
 
-    It has 3(n + 1) spaces, n the dimension of ``pair.tcm``.  Omitted
-    bases are the canonical representatives of ``pair``'s homology
-    data.  The maps are induced on homology coordinates:
-    inclusion-induced maps in each degree, plus the connecting map
-    computed by the usual zig-zag (lift along beta, take the boundary,
-    pull back along alpha).  Beta only relabels cells, so its maps are
+    It has 3(n + 1) spaces, n the dimension of ``pair.tcm``, each written
+    in the representatives of ``pair``'s homology data; any other basis
+    is passed as coordinates in these.  The maps are induced on homology
+    coordinates: inclusion-induced maps in each degree, plus the
+    connecting map by the usual zig-zag (lift along beta, take the
+    boundary, pull back along alpha).  Beta only relabels cells, so its maps are
     placements at the coordinates of ``ds.cell_maps``: a factor's
     cycles are written there, and a cycle of M lifts by reading its
     factors' coordinates back, which is exact above degree 0.  Alpha,
@@ -296,14 +290,10 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
     ``corrective_term`` and ``transport_bases`` share is built at
     ``tol`` and stored in ``split``, before returning.
     """
-    tc1, tc2, tcm, tcd = pair.tc1, pair.tc2, pair.tcm, pair.tcd
-    h1 = list(pair.hd1.h_basis if h1 is None else h1)
-    h2 = list(pair.hd2.h_basis if h2 is None else h2)
-    hm = list(pair.hdm.h_basis if hm is None else hm)
-    hdisk = list(pair.hdd.h_basis if hdisk is None else hdisk)
+    tc1, tc2, tcm = pair.tc1, pair.tc2, pair.tcm
     degrees = tcm.dimension + 1
-    b1, b2 = _padded(h1, tc1.dims, degrees), _padded(h2, tc2.dims, degrees)
-    bm, bd = _padded(hm, tcm.dims, degrees), _padded(hdisk, tcd.dims, degrees)
+    b1, b2, bm, bd = (_padded(hd.h_basis, degrees)
+                      for hd in (pair.hd1, pair.hd2, pair.hdm, pair.hdd))
 
     ds, d = pair.ds, tcm.d
     at1, at2 = [[_coordinates(cells, d) for cells in maps] for maps in ds.cell_maps]
@@ -361,7 +351,8 @@ def mv_sequence(pair: GluedPair, h1=None, h2=None, hm=None, hdisk=None,
     hd = verify_exactness(tc, tol)
     split = build_splitting(tc, hd, tol=tol,
                             boundary_bases=_split_boundary_bases(tc, hd.boundary_basis))
-    return MvSequence(1, dims, maps, h_factors=(h1, h2), split=split)
+    return MvSequence(1, dims, maps, h_factors=(pair.hd1.h_basis, pair.hd2.h_basis),
+                      split=split)
 
 
 def verify_exactness(tc: TwistedChainComplex, tol: float = DEFAULT_TOL) -> HomologyData:
@@ -411,7 +402,10 @@ def _split_boundary_bases(seq: TwistedChainComplex,
 def corrective_term(seq: MvSequence, bases=None) -> TorsionResult:
     """Torsion of the exact sequence in the assigned bases ``bases``.
 
-    ``bases[q]`` is the basis of space q in its homology coordinates;
+    ``bases[q]`` holds the coordinates of the assigned basis of space q
+    in the canonical one ``mv_sequence`` wrote it in, so it multiplies
+    the value by det(bases[q])^((-1)^(q+1)); in a direct-sum space the
+    factors' coordinates sit block-diagonally, the first factor's first.
     None, for ``bases`` or an entry, is the identity, which ``torsion``
     skips.  The sequence is acyclic, so each space splits as b_q +
     s_q(b_{q-1}), with the boundary bases b_q of ``_split_boundary_bases``
@@ -429,54 +423,58 @@ def corrective_term(seq: MvSequence, bases=None) -> TorsionResult:
 class TransportedBases:
     """Factor homology bases for which the corrective term equals 1.
 
-    In each direct-sum space q = 3p+1 the natural factor basis is
+    In each direct-sum space q = 3p+1 the canonical factor basis is
     expressed in the split basis b_q | s_q(b_{q-1}) of
     ``_split_boundary_bases`` through the invertible matrix A recorded
     here; the leading vector of the space absorbs (det A)^{-1}.
     ``residual`` is the corrective term left after that step, folded
     into the leading vector of the first nonzero direct-sum space, so
     ``corrective``, the corrective term in the bases so assigned, is 1
-    for every exact sequence.
+    for every exact sequence.  ``coords_m1[p]`` and ``coords_m2[p]``,
+    the factors' diagonal blocks of space 3p+1, are the coordinates of
+    the transported bases in ``seq.h_factors[0][p]`` and ``[1][p]``.
 
     Each per-degree determinant of the corrective term depends on the
     boundary bases b_q; only their alternating product is basis-free.
-    When the disk inclusion injects, the residual is 1 and every
-    per-degree determinant is 1.  Otherwise the leftover factor sits in
-    that one leading vector, and only the product is 1.
+    When the disk inclusion injects and the M and D spaces keep their
+    canonical bases, the residual and every per-degree determinant are
+    1; otherwise the leftover factor sits in that one leading vector.
     """
 
-    h_m1: list[np.ndarray]
-    h_m2: list[np.ndarray]
+    coords_m1: list[np.ndarray]
+    coords_m2: list[np.ndarray]
     transport_matrices: list[np.ndarray]
     det_a: list[complex]
     residual: complex
     corrective: TorsionResult
 
 
-def transport_bases(seq: MvSequence) -> TransportedBases:
+def transport_bases(seq: MvSequence, bases=None) -> TransportedBases:
     """Choose factor bases making the corrective term 1.
 
-    Follows the split-basis construction degree by degree: in each
-    direct-sum space the natural factor basis is rewritten in the basis
-    [boundary basis | section of the previous boundary basis], with the
-    boundary bases of ``_split_boundary_bases`` that ``corrective_term``
-    also uses; the determinant of that rewrite is pushed into the first
-    factor vector, a diagonal basis of the space; every other space
-    keeps None, the identity.  A final rescale of one vector cancels
-    whatever the fixed (M and D) spaces contribute; ``TransportedBases``
-    says when every per-degree determinant is 1.
+    ``bases`` assigns the M and D spaces as ``corrective_term`` takes
+    them; its direct-sum entries must be None, since they are assigned
+    here.  In each direct-sum space the canonical factor basis is
+    rewritten in the split basis [boundary basis | section of the
+    previous boundary basis] that ``corrective_term`` also uses, and the
+    determinant of that rewrite is pushed into the first factor vector,
+    a diagonal basis of the space.  A final rescale of one vector
+    cancels whatever the M and D spaces contribute;
+    ``TransportedBases`` says when every per-degree determinant is 1.
     """
     direct_sums = range(1, len(seq.dims), 3)
-    bases: list[np.ndarray | None] = [None] * len(seq.dims)
+    bases = [None] * len(seq.dims) if bases is None else list(bases)
     a_matrices = []
     det_as = []
 
     for q in direct_sums:
+        if bases[q] is not None:
+            raise TransportError(f"space {q}: a direct-sum space takes no given basis")
         if seq.dims[q] == 0:
             a_matrices.append(linalg.empty_matrix(0))
             det_as.append(complex(1.0))
             continue
-        # rows of A express the natural (identity) factor basis in the split basis
+        # rows of A express the canonical factor basis in the split basis
         try:
             a = np.linalg.inv(assembled_matrix(seq, seq.split, q)).T
         except np.linalg.LinAlgError as exc:
@@ -502,17 +500,15 @@ def transport_bases(seq: MvSequence) -> TransportedBases:
         # of the sequence by kappa^((-1)^(q+1)); cancel the residual
         bases[slot][:, 0] *= residual ** ((-1) ** slot)
 
-    def rescaled(h, p, factor):
-        space = bases[3 * p + 1]
-        if space is None:
-            return h
-        k, n = h.shape[1], space.shape[0]
-        rows = slice(0, k) if factor == 0 else slice(n - k, n)
-        return h @ space[rows, rows]
+    def block(p, h, first):
+        """The diagonal block of space 3p+1 that the factor basis ``h`` spans."""
+        space, k = bases[3 * p + 1], h.shape[1]
+        rows = slice(0, k) if first else slice(seq.dims[3 * p + 1] - k, None)
+        return linalg.empty_matrix(0) if space is None else space[rows, rows]
 
     return TransportedBases(
-        h_m1=[rescaled(h, p, 0) for p, h in enumerate(seq.h_factors[0])],
-        h_m2=[rescaled(h, p, 1) for p, h in enumerate(seq.h_factors[1])],
+        coords_m1=[block(p, h, True) for p, h in enumerate(seq.h_factors[0])],
+        coords_m2=[block(p, h, False) for p, h in enumerate(seq.h_factors[1])],
         transport_matrices=a_matrices,
         det_a=det_as,
         residual=residual,
@@ -541,7 +537,7 @@ def _glue(m1: CwComplexData, rep1: Representation,
     twisted: it is placed from the factors' blocks.  Every complex is
     twisted through the fixed sl2 basis ``orthonormal_sl2_basis``.
     """
-    ds = disk_sum(m1, m2, tol)
+    ds = disk_sum(m1, m2)
     rep = free_product_rep(rep1, rep2, ds)
     if prev is None:
         tc1, hd1 = _factored(m1, rep1, tol)
@@ -581,25 +577,48 @@ class MvIdentityReport:
         return self.max_residual <= self.tolerance
 
 
+def _torsion_in(tc, hd, coords, tol):
+    """Torsion of ``tc`` in the canonical homology bases of ``hd`` times ``coords``."""
+    return torsion_of(tc, hd, [h @ c for h, c in zip(hd.h_basis, coords)], tol=tol).value
+
+
+def _sequence_bases(coords_m, coords_1, coords_2, coords_d):
+    """Every space's basis from per-degree coordinates in H(M), H(M1), H(M2)
+    and H(D), the factors' block-diagonally in each direct-sum space."""
+    out = []
+    for p, c in enumerate(coords_m):
+        a, b = (f[p] if p < len(f) else linalg.empty_matrix(0) for f in (coords_1, coords_2))
+        space = linalg.empty_matrix(len(a) + len(b), len(a) + len(b))
+        space[:len(a), :len(a)], space[len(a):, len(a):] = a, b
+        out += [c, space, coords_d[p] if p < len(coords_d) else None]
+    return out
+
+
 def verify_mv_identity(pair: GluedPair, draws: int = 10, seed: int = 0,
                        tol: float = DEFAULT_TOL,
                        pass_tol: float = PASS_TOL) -> MvIdentityReport:
-    """Check T(M1) T(M2) = T(M) T(D) T(sequence) on ``draws`` >= 1 random bases."""
+    """Check T(M1) T(M2) = T(M) T(D) T(sequence) on ``draws`` >= 1 random bases.
+
+    The sequence is built once, in canonical bases.  Each draw takes
+    random coordinates per degree of M1, M2, M and D, in that order
+    (``linalg.random_recombination`` of identity blocks); each complex's
+    torsion is taken in its canonical basis times them, and the
+    corrective term in the coordinates themselves.
+    """
     if draws < 1:
         raise TorsionworksError(f"verify_mv_identity needs at least one draw, got {draws}")
     rng = np.random.default_rng(seed)
+    seq = mv_sequence(pair, tol=tol)
+    factored = ((pair.tc1, pair.hd1), (pair.tc2, pair.hd2),
+                (pair.tcm, pair.hdm), (pair.tcd, pair.hdd))
     residuals = []
     for _ in range(draws):
-        h1 = linalg.random_recombination(pair.hd1.h_basis, rng)
-        h2 = linalg.random_recombination(pair.hd2.h_basis, rng)
-        hm = linalg.random_recombination(pair.hdm.h_basis, rng)
-        hdisk = linalg.random_recombination(pair.hdd.h_basis, rng)
-        seq = mv_sequence(pair, h1=h1, h2=h2, hm=hm, hdisk=hdisk, tol=tol)
-        t1 = torsion_of(pair.tc1, pair.hd1, h1, tol=tol).value
-        t2 = torsion_of(pair.tc2, pair.hd2, h2, tol=tol).value
-        tm = torsion_of(pair.tcm, pair.hdm, hm, tol=tol).value
-        td = torsion_of(pair.tcd, pair.hdd, hdisk, tol=tol).value
-        th = corrective_term(seq).value
+        mixes = [linalg.random_recombination([np.eye(k, dtype=complex) for k in hd.betti], rng)
+                 for _, hd in factored]
+        t1, t2, tm, td = (_torsion_in(tc, hd, coords, tol)
+                          for (tc, hd), coords in zip(factored, mixes))
+        c1, c2, cm, cd = mixes
+        th = corrective_term(seq, _sequence_bases(cm, c1, c2, cd)).value
         lhs = t1 * t2
         residuals.append(abs(lhs - tm * td * th) / abs(lhs))
     n0 = (pair.hd1.betti[0], pair.hd2.betti[0], pair.hdm.betti[0], pair.hdd.betti[0])
@@ -665,9 +684,13 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
 
     Each complex of the chain is twisted and factored once: each glued
     space is carried forward as the next step's left factor, and one
-    disk serves every step.  Each torsion is taken once, so a step's
-    ``left_torsion`` is the ``total_torsion`` of the step unfolded after
-    it, whose glued space is that left factor.
+    disk serves every step.  Each sequence is built in canonical bases,
+    and the basis of H(M) travels down the chain as coordinates in the
+    canonical one: those of the classes of ``h_m`` at the top (None when
+    it is omitted), then the left factor's transported coordinates,
+    diagonal scalings, below.  Cycle vectors are formed only to take a
+    factor's torsion, and each torsion once: a step's ``left_torsion``
+    is the ``total_torsion`` of the next step.
     """
     if len(factors) < 2:
         raise DiskSumError("need at least two factors")
@@ -681,17 +704,23 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     left_names = [factors[0].name] + [pair.ds.total.name for pair in pairs[:-1]]
 
     top = pairs[-1]
-    current_h = list(top.hdm.h_basis) if h_m is None else h_m
-    total_torsion = torsion_of(top.tcm, top.hdm, current_h, tol=tol).value
+    split = build_splitting(top.tcm, top.hdm, h_m, tol=tol)
+    total_torsion = torsion(top.tcm, split).value
+    coords_m = [None if h_m is None else _class_coordinates(h, canonical, boundary, tol)
+                for h, canonical, boundary in zip(split.h, top.hdm.h_basis,
+                                                  top.hdm.boundary_basis)]
     t_disk = torsion_of(top.tcd, top.hdd, tol=tol).value
 
     steps: list[MultiplicativityStep] = []
     t_total = total_torsion
     for k in range(len(factors) - 1, 0, -1):
         pair = pairs[k - 1]
-        transported = transport_bases(mv_sequence(pair, hm=current_h, tol=tol))
-        t_left = torsion_of(pair.tc1, pair.hd1, transported.h_m1, tol=tol).value
-        t_right = torsion_of(pair.tc2, pair.hd2, transported.h_m2, tol=tol).value
+        seq = mv_sequence(pair, tol=tol)
+        bases = [None] * len(seq.dims)
+        bases[0::3] = coords_m
+        transported = transport_bases(seq, bases)
+        t_left = _torsion_in(pair.tc1, pair.hd1, transported.coords_m1, tol)
+        t_right = _torsion_in(pair.tc2, pair.hd2, transported.coords_m2, tol)
         steps.append(MultiplicativityStep(
             left_name=left_names[k - 1],
             right_name=factors[k].name,
@@ -702,7 +731,7 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
             right_torsion=t_right,
             disk_torsion=t_disk,
         ))
-        current_h = transported.h_m1
+        coords_m = transported.coords_m1
         t_total = t_left
     factor_torsions = [t_total] + [step.right_torsion for step in reversed(steps)]
 

@@ -198,6 +198,29 @@ def matrix_rank(a, tol):
     return svd_rank(np.linalg.svd(a, compute_uv=False), tol)
 
 
+def integer_rank(rows):
+    """Exact rank of an integer matrix given as rows of Python integers.
+
+    Fraction-free (Bareiss) elimination: after k pivots every entry left
+    is a (k + 1)-minor of the input, so each division is exact and no
+    rounding or cutoff enters the answer.
+    """
+    m = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        for i in range(rank + 1, len(m)):
+            row = m[i]
+            m[i] = [(top[c] * x - row[c] * y) // prev for x, y in zip(row, top)]
+        prev = top[c]
+        rank += 1
+    return rank
+
+
 def independent_columns(m, tol):
     """Whether the columns of ``m`` are linearly independent.
 

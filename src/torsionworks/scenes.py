@@ -180,7 +180,7 @@ def parse_scene(text: str) -> Scene:
              for j in range(cols)]
             for i in range(rows)
         ]
-        boundaries.append(GroupRingMatrix.from_rows(entries))
+        boundaries.append(GroupRingMatrix(rows, cols, tuple(map(tuple, entries))))
 
     try:
         cw = CwComplexData(name=name, presentation=pres, cells=list(cells),

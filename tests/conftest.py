@@ -87,3 +87,13 @@ def bouquet():
             GroupRingMatrix.from_rows([[zero]]),
         ],
     )
+
+
+def sphere():
+    """The 2-sphere: one 0-cell and one 2-cell, with an empty layer between."""
+    return CwComplexData(
+        name="sphere",
+        presentation=GroupPresentation.free(0),
+        cells=[1, 0, 1],
+        boundaries=[GroupRingMatrix.zeros(1, 0), GroupRingMatrix.zeros(0, 1)],
+    )

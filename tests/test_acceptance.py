@@ -69,10 +69,6 @@ def glued_models():
     ]
 
 
-def build_sequence(pair, **kwargs):
-    return mv_sequence(pair, **kwargs)
-
-
 def test_criterion_1_disk_normalization():
     worst = 0.0
     for cw in (point(), disk()):
@@ -160,7 +156,7 @@ def test_criterion_6_corrective_term_vanishing():
     worst = 0.0
     for name, m1, r1, m2, r2 in glued_models():
         pair = analyze_disk_sum(m1, r1, m2, r2)
-        seq = build_sequence(pair)
+        seq = mv_sequence(pair)
         value = transport_bases(seq).corrective.value
         worst = max(worst, abs(value - 1.0))
     report(6, "corrective-term-unity", worst <= 1e-6,
@@ -191,7 +187,7 @@ def test_criterion_8_exactness_suite():
     identity_checked = 0
     for name, m1, r1, m2, r2 in glued_models():
         pair = analyze_disk_sum(m1, r1, m2, r2)
-        seq = build_sequence(pair)  # exactness asserted during assembly
+        seq = mv_sequence(pair)  # exactness asserted during assembly
         for p in range(1, len(seq.dims)):
             dout, din = seq.boundary(p), seq.boundary(p + 1)
             if dout.shape[1] and din.shape[1]:

@@ -13,7 +13,7 @@ from torsionworks.errors import TorsionworksError
 from torsionworks.glue import analyze_disk_sum, verify_mv_identity
 from torsionworks.scenes import circle, point, scene_text, wedge_of_circles
 
-from conftest import diag_rep, random_sl2
+from conftest import diag_rep, random_sl2, sphere
 
 
 @pytest.fixture
@@ -30,6 +30,7 @@ def scene_dir(tmp_path):
     write("circle3", circle(), diag_rep(3.0))
     write("circle5", circle(), diag_rep(5.0))
     write("wedge2", wedge_of_circles(2), diag_rep(2.0, 3.0))
+    write("sphere", sphere(), Representation.trivial(0))
     psl = Representation(Target.PSL, 2, (np.diag([3.0, 1 / 3.0]).astype(complex),))
     write("circle3_psl", circle(), psl)
     return paths
@@ -51,6 +52,24 @@ def test_torsion_point_scene(scene_dir, capsys):
     report = json.loads(out)
     assert report["betti"] == [3]
     assert report["torsion"] == [1.0, 0.0]
+
+
+def test_torsion_sphere_scene(scene_dir, capsys):
+    code, out, _ = run_cli(capsys, "torsion", scene_dir["sphere"], "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["betti"] == [3, 0, 3]
+    assert report["torsion"] == pytest.approx([1.0, 0.0], abs=1e-12)
+
+
+def test_verify_mv_sphere_with_circle(scene_dir, capsys):
+    for first, second in (("sphere", "circle2"), ("circle2", "sphere")):
+        code, out, _ = run_cli(capsys, "verify-mv", scene_dir[first], scene_dir[second],
+                               "--json")
+        assert code == 0, (first, second)
+        report = json.loads(out)
+        assert report["verdict"] == "pass"
+        assert report["sequence_dims"] == [1, 4, 3, 1, 1, 0, 3, 3, 0]
 
 
 def test_torsion_circle_modulus(scene_dir, capsys):

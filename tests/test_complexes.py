@@ -31,7 +31,7 @@ from torsionworks.errors import (
 from torsionworks.glue import disk_sum
 from torsionworks.scenes import circle, disk, point, wedge_of_circles
 
-from conftest import block_ad, bouquet, diag_rep, random_sl2, torus
+from conftest import block_ad, bouquet, diag_rep, random_sl2, sphere, torus
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +51,7 @@ def test_untwisted_betti0():
     two_points = CwComplexData(name="2pts", presentation=GroupPresentation.free(0),
                                cells=[2], boundaries=[])
     assert untwisted_betti0(two_points) == 2
+    assert untwisted_betti0(sphere()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +186,19 @@ def test_change_lift_two_dim_still_composes(basis):
     lifted = change_lift(cw, 1, 0, gamma)
     tc = twist(lifted, rep, basis)  # raises if the rewrite broke d.d = 0
     assert homology(tc).betti == homology(twist(cw, rep, basis)).betti
+
+
+def test_change_lift_across_an_empty_layer(basis):
+    # circle wedge S^3: the boundary of the 3-cell has no rows
+    one = GroupRingElement.one()
+    cw = CwComplexData(name="circle+S3", presentation=GroupPresentation.free(1),
+                       cells=[1, 1, 0, 1],
+                       boundaries=[GroupRingMatrix.from_rows([[GroupRingElement.gen(0) - one]]),
+                                   GroupRingMatrix.zeros(1, 0), GroupRingMatrix.zeros(0, 1)])
+    lifted = change_lift(cw, 3, 0, Word.generator(0))
+    assert lifted.boundaries == cw.boundaries
+    rep = diag_rep(2.0)
+    assert homology(twist(lifted, rep, basis)).betti == [1, 1, 0, 3]
 
 
 def test_degenerate_layer_allowed(basis):

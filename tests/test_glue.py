@@ -31,16 +31,12 @@ from torsionworks.linalg import DEFAULT_TOL, DEFECT_TOL, matrix_rank, min_norm_p
 from torsionworks.scenes import circle, point, wedge_of_circles
 from torsionworks.torsion import build_splitting, torsion, torsion_of
 
-from conftest import bouquet, diag_rep, random_sl2, torus
+from conftest import bouquet, diag_rep, random_sl2, sphere, torus
 
 
 def conjugated_diag(lam, g0):
     base = np.diag([lam, 1.0 / lam]).astype(complex)
     return Representation.from_images([g0 @ base @ np.linalg.inv(g0)])
-
-
-def build_sequence(pair, **kwargs):
-    return mv_sequence(pair, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +88,13 @@ def test_disk_sum_relators_remapped():
     assert ds.total.presentation.relators == (Word.generator(1, 2),)
 
 
+def test_disk_sum_across_an_empty_layer():
+    ds = disk_sum(sphere(), point())
+    assert ds.total.cells == [1, 0, 1]
+    assert [(m.rows, m.cols) for m in ds.total.boundaries] == [(1, 0), (0, 1)]
+    assert disk_sum(circle(), sphere()).total.cells == [1, 1, 1]
+
+
 def test_disk_sum_rejects_disconnected():
     two_points = CwComplexData(name="2pts", presentation=GroupPresentation.free(0),
                                cells=[2], boundaries=[])
@@ -137,7 +140,7 @@ def test_free_product_rep_target_mismatch():
 def test_sequence_point_point_degree_zero_tail():
     pair = analyze_disk_sum(point(), Representation.trivial(0),
                             point(), Representation.trivial(0))
-    seq = build_sequence(pair)
+    seq = mv_sequence(pair)
     assert seq.dims == [3, 6, 3]
     # 0 -> C3 -> C6 -> C3 -> 0 exact, and the bookkeeping identity holds
     assert seq.dims[1] == seq.dims[0] + seq.dims[2]
@@ -152,7 +155,7 @@ def test_sequence_has_three_spaces_per_degree_of_the_glued_complex():
     ]
     for m1, r1, m2, r2, spaces in cases:
         pair = analyze_disk_sum(m1, r1, m2, r2)
-        seq = build_sequence(pair)
+        seq = mv_sequence(pair)
         assert len(seq.dims) == 3 * (pair.tcm.dimension + 1) == spaces
         assert len(seq.mats) == spaces - 1
         assert len(transport_bases(seq).det_a) == pair.tcm.dimension + 1
@@ -162,7 +165,7 @@ def test_sequence_has_three_spaces_per_degree_of_the_glued_complex():
 
 def test_sequence_circle_circle_dimensions():
     pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
-    seq = build_sequence(pair)
+    seq = mv_sequence(pair)
     # shared eigenbasis: both boundary images are the same 2-plane, so
     # the wedge has a 4-dimensional degree-1 homology (brute-forced in
     # test_complexes/test_glue) and the disk image has rank 1
@@ -180,7 +183,7 @@ def test_sequence_circle_circle_generic_conjugates(rng):
     g0 = random_sl2(rng)
     pair = analyze_disk_sum(circle(), diag_rep(2.0),
                             circle(), conjugated_diag(3.0, g0))
-    seq = build_sequence(pair)
+    seq = mv_sequence(pair)
     assert pair.hdm.betti == [0, 3]
     assert seq.dims[:6] == [0, 2, 3, 3, 2, 0]
 
@@ -190,7 +193,7 @@ def test_sequence_degree_zero_identity_when_disk_injects():
     # disk inclusion is injective and the printed identity holds exactly
     pair = analyze_disk_sum(circle(), Representation.trivial(1),
                             circle(), diag_rep(2.0))
-    seq = build_sequence(pair)
+    seq = mv_sequence(pair)
     assert matrix_rank(seq.boundary(2), 1e-8) == seq.dims[2]
     n0_m1, n0_m2 = pair.hd1.betti[0], pair.hd2.betti[0]
     assert n0_m1 + n0_m2 == pair.hdm.betti[0] + pair.hdd.betti[0]
@@ -199,7 +202,7 @@ def test_sequence_degree_zero_identity_when_disk_injects():
 def test_sequence_isomorphism_range_when_connecting_map_vanishes():
     pair = analyze_disk_sum(circle(), Representation.trivial(1),
                             circle(), Representation.trivial(1))
-    seq = build_sequence(pair)
+    seq = mv_sequence(pair)
     d1 = seq.boundary(4)  # degree-1 gluing map
     assert d1.shape == (6, 6)
     assert matrix_rank(d1, 1e-8) == 6
@@ -214,7 +217,7 @@ def test_sequence_exactness_suite():
     ]
     for m1, r1, m2, r2 in models:
         pair = analyze_disk_sum(m1, r1, m2, r2)
-        seq = build_sequence(pair)  # verify_exactness runs inside
+        seq = mv_sequence(pair)  # verify_exactness runs inside
         for p in range(1, len(seq.dims)):
             dout, din = seq.boundary(p), seq.boundary(p + 1)
             if dout.shape[1] and din.shape[1]:
@@ -223,7 +226,7 @@ def test_sequence_exactness_suite():
 
 def test_sequence_rejects_inconsistent_maps():
     pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
-    seq = build_sequence(pair)
+    seq = mv_sequence(pair)
     mats = list(seq.mats)
     mats[0] = np.zeros_like(mats[0])  # kill the gluing map
     with pytest.raises(SequenceError):
@@ -239,7 +242,7 @@ def test_exactness_rejects_dimensions_that_do_not_alternate_to_zero():
 
 def test_copies_and_transport_read_the_split_mv_sequence_built(monkeypatch):
     pair = analyze_disk_sum(wedge_of_circles(2), diag_rep(2.0, 3.0), circle(), diag_rep(5.0))
-    seq = build_sequence(pair)
+    seq = mv_sequence(pair)
     read = []
     assembled, torsion_value = glue.assembled_matrix, glue.torsion
 
@@ -273,7 +276,7 @@ def test_corrective_term_zero_sequence_is_one():
 
 def test_corrective_term_scaling_covariance():
     pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
-    seq = build_sequence(pair)
+    seq = mv_sequence(pair)
     base = corrective_term(seq).value
     alpha = 0.6 + 1.1j
     bases = [None] * len(seq.dims)
@@ -295,7 +298,7 @@ def test_transport_makes_corrective_term_one():
     ]
     for m1, r1, m2, r2 in models:
         pair = analyze_disk_sum(m1, r1, m2, r2)
-        seq = build_sequence(pair)
+        seq = mv_sequence(pair)
         transported = transport_bases(seq)
         for a in transported.transport_matrices:
             if a.size:
@@ -306,8 +309,10 @@ def test_transport_makes_corrective_term_one():
 def test_transport_point_point_with_geometric_disk_basis():
     pair = analyze_disk_sum(point(), Representation.trivial(0),
                             point(), Representation.trivial(0))
-    seq = build_sequence(pair, hdisk=[np.eye(3, dtype=complex)])
-    transported = transport_bases(seq)
+    seq = mv_sequence(pair)
+    # the geometric disk basis as coordinates in the canonical one
+    bases = [None, None, np.linalg.solve(pair.hdd.h_basis[0], np.eye(3, dtype=complex))]
+    transported = transport_bases(seq, bases)
     assert transported.corrective.value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -317,13 +322,13 @@ def test_transport_identity_when_second_factor_empty():
     # transport matrix reduces to the identity with det 1
     pair = analyze_disk_sum(circle(), diag_rep(2.0),
                             point(), Representation.trivial(0))
-    seq = build_sequence(pair)
+    seq = mv_sequence(pair)
     transported = transport_bases(seq)
     a1 = transported.transport_matrices[1]
     assert a1.shape == (1, 1)
     assert a1[0, 0] == pytest.approx(1.0, abs=1e-9)
     assert transported.det_a[1] == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(transported.h_m1[1], pair.hd1.h_basis[1])
+    assert np.allclose(pair.hd1.h_basis[1] @ transported.coords_m1[1], pair.hd1.h_basis[1])
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +421,45 @@ def test_multiplicativity_eight_circles_with_distinct_eigenvalues():
     assert report.passed
 
 
-@pytest.mark.xfail(strict=True, raises=SequenceError,
-                   reason="the transported degree-0 column shrinks by det A at every "
-                          "unfold step, and the class-coordinate solve then misses it")
 def test_multiplicativity_twelve_circles_with_distinct_eigenvalues():
     report = verify_multiplicativity(
         [circle() for _ in range(12)], [diag_rep(float(lam)) for lam in range(2, 14)])
     assert report.passed
+
+
+def assert_exact_chain(report, factors):
+    assert report.passed
+    assert len(report.steps) == factors - 1
+    assert report.relative_error <= 1e-12
+    assert all(step.relative_error <= 1e-12 for step in report.steps)
+
+
+@pytest.mark.parametrize("lams", [[2.0] * 40, list(range(2, 42))],
+                         ids=["shared", "distinct"])
+def test_multiplicativity_forty_circles(lams):
+    # the transported degree-0 column shrinks by det A at every unfold
+    # step; it travels as a coordinate and never enters a sequence
+    report = verify_multiplicativity([circle() for _ in lams],
+                                     [diag_rep(float(lam)) for lam in lams])
+    assert_exact_chain(report, 40)
+
+
+def test_multiplicativity_sixteen_generic_wedges_of_three_circles():
+    rng = np.random.default_rng(7)
+    reps = [Representation.from_images([random_sl2(rng) for _ in range(3)])
+            for _ in range(16)]
+    report = verify_multiplicativity([wedge_of_circles(3) for _ in range(16)], reps)
+    assert_exact_chain(report, 16)
+
+
+def test_multiplicativity_with_sphere_factors():
+    # the first partial sum of the second chain has no 1-cells
+    for names in ("sphere circle sphere torus", "sphere sphere circle torus"):
+        models = {"sphere": (sphere(), Representation.trivial(0)),
+                  "circle": (circle(), diag_rep(2.0)),
+                  "torus": (torus(), diag_rep(2.0, 3.0))}
+        factors, reps = zip(*(models[name] for name in names.split()))
+        assert_exact_chain(verify_multiplicativity(list(factors), list(reps)), 4)
 
 
 def test_multiplicativity_requires_two_factors():
@@ -450,7 +487,7 @@ def test_glue_two_dimensional_factor():
     from conftest import torus
     pair = analyze_disk_sum(torus(), diag_rep(2.0, 3.0), circle(), diag_rep(5.0))
     assert pair.ds.total.cells == [1, 3, 1]
-    seq = build_sequence(pair)
+    seq = mv_sequence(pair)
     assert seq.dims[6] == pair.hdm.betti[2] > 0  # degree-2 spaces populated
     outcome = verify_mv_identity(pair, draws=4, seed=3)
     assert outcome.max_residual <= 1e-9
@@ -462,7 +499,7 @@ def test_glue_two_dimensional_factor():
 def test_glue_three_dimensional_factor_fills_every_level():
     from conftest import bouquet, torus
     pair = analyze_disk_sum(bouquet(), diag_rep(2.0), torus(), diag_rep(3.0, 5.0))
-    seq = build_sequence(pair)
+    seq = mv_sequence(pair)
     # every degree of the sequence carries nonzero spaces
     for p in (0, 1, 3, 4, 6, 7, 9, 10):
         assert seq.dims[p] > 0, (p, seq.dims)
@@ -478,7 +515,7 @@ def test_transport_per_degree_determinants_clean_regime():
     # determinant of the transported corrective term is itself 1
     pair = analyze_disk_sum(point(), Representation.trivial(0),
                             point(), Representation.trivial(0))
-    seq = build_sequence(pair)
+    seq = mv_sequence(pair)
     transported = transport_bases(seq)
     for p, det in enumerate(transported.corrective.per_degree_determinants):
         assert det == pytest.approx(1.0, abs=1e-9), (p, det)
@@ -559,7 +596,7 @@ def dense_inclusion_maps(pair, tol=DEFAULT_TOL):
     bases, and a cycle of M is lifted through it by a least-squares
     solve; alpha is (v, -v) on the shared 0-cell.
     """
-    tc1, tc2, tcm, tcd = pair.tc1, pair.tc2, pair.tcm, pair.tcd
+    tc1, tc2, tcm = pair.tc1, pair.tc2, pair.tcm
     d = tcm.d
     maps1, maps2 = pair.ds.cell_maps
 
@@ -584,10 +621,8 @@ def dense_inclusion_maps(pair, tol=DEFAULT_TOL):
     alpha[base2:base2 + d] = -np.eye(d)
 
     degrees = tcm.dimension + 1
-    b1 = glue._padded(pair.hd1.h_basis, tc1.dims, degrees)
-    b2 = glue._padded(pair.hd2.h_basis, tc2.dims, degrees)
-    bm = glue._padded(pair.hdm.h_basis, tcm.dims, degrees)
-    bd = glue._padded(pair.hdd.h_basis, tcd.dims, degrees)
+    b1, b2, bm, bd = (glue._padded(hd.h_basis, degrees)
+                      for hd in (pair.hd1, pair.hd2, pair.hdm, pair.hdd))
     dims = []
     for p in range(degrees):
         dims += [bm[p].shape[1], b1[p].shape[1] + b2[p].shape[1], bd[p].shape[1]]

@@ -48,6 +48,29 @@ def test_min_norm_preimage_honors_tol():
 
 
 # ---------------------------------------------------------------------------
+# exact integer rank
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda rows: st.integers(0, 6).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))))
+def test_integer_rank_is_the_svd_rank_of_small_integer_matrices(rows):
+    # singular values of such matrices are far from the cutoff, so the SVD
+    # rank is trustworthy here
+    assert linalg.integer_rank(rows) == linalg.matrix_rank(
+        np.array(rows, dtype=complex).reshape(len(rows), -1), 1e-8)
+
+
+def test_integer_rank_is_exact_beyond_the_float_mantissa():
+    # 2^60 + 1 rounds to 2^60 as a float, so the SVD sees rank 1
+    big = 2 ** 60
+    assert linalg.integer_rank([[big, big + 1], [1, 1]]) == 2
+    assert linalg.integer_rank([[big, big], [1, 1]]) == 1
+    assert linalg.integer_rank([]) == linalg.integer_rank([[]]) == 0
+
+
+# ---------------------------------------------------------------------------
 # the two bounds bracket the 2-norm
 # ---------------------------------------------------------------------------
 

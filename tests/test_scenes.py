@@ -19,7 +19,7 @@ from torsionworks.scenes import (
 )
 from torsionworks.torsion import torsion_of
 
-from conftest import diag_rep, random_sl2
+from conftest import diag_rep, random_sl2, sphere
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,16 @@ def test_round_trip_builders():
         scene = parse_scene(scene_text(cw, rep))
         assert scene.cw == cw
         assert reps_close(scene.rep, rep)
+
+
+def test_round_trip_sphere_with_an_empty_layer():
+    # the boundary out of the 2-cell has no rows: its grid is written []
+    cw, rep = sphere(), Representation.trivial(0)
+    text = scene_text(cw, rep)
+    scene = parse_scene(text)
+    assert scene.cw == cw
+    assert [(m.rows, m.cols) for m in scene.cw.boundaries] == [(1, 0), (0, 1)]
+    assert scene_text(scene.cw, scene.rep) == text
 
 
 def test_round_trip_h_bases_and_tolerance(basis):

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from torsionworks import glue
 from torsionworks.algebra import Representation
 from torsionworks.complexes import homology
 from torsionworks.glue import (
@@ -21,10 +22,6 @@ from torsionworks.scenes import circle, point, wedge_of_circles
 from torsionworks.torsion import build_splitting, torsion
 
 from conftest import bouquet, diag_rep, random_sl2, torus
-
-
-def build_sequence(pair, **kwargs):
-    return mv_sequence(pair, **kwargs)
 
 
 def gluing_models(rng):
@@ -63,22 +60,32 @@ def transported_dense_bases(seq, transported):
     return bases
 
 
+def drawn_bases(pair, rng):
+    """Random coordinates of bases of H(M1), H(M2) and H(M), one block per
+    degree, placed as the sequence's bases (D keeps its canonical one)."""
+    c1, c2, cm = (random_recombination([np.eye(k, dtype=complex) for k in hd.betti], rng)
+                  for hd in (pair.hd1, pair.hd2, pair.hdm))
+    bases = []
+    for p, coords in enumerate(cm):
+        a = c1[p] if p < len(c1) else np.eye(0)
+        b = c2[p] if p < len(c2) else np.eye(0)
+        space = np.zeros((len(a) + len(b),) * 2, dtype=complex)
+        space[:len(a), :len(a)], space[len(a):, len(a):] = a, b
+        bases += [coords, space, None]
+    return bases
+
+
 def test_corrective_value_independent_of_split_basis(rng):
     # the named boundary vectors change the per-degree determinants but
     # not their alternating product, which must match the default
     # orthonormal-image splitting in canonical, random and transported bases
     for m1, r1, m2, r2 in gluing_models(rng):
         pair = analyze_disk_sum(m1, r1, m2, r2)
-        canonical = build_sequence(pair)
-        drawn = build_sequence(
-            pair,
-            h1=random_recombination(pair.hd1.h_basis, rng),
-            h2=random_recombination(pair.hd2.h_basis, rng),
-            hm=random_recombination(pair.hdm.h_basis, rng),
-        )
-        transported = transported_dense_bases(canonical, transport_bases(canonical))
-        for seq, bases in ((canonical, None), (drawn, None), (canonical, transported)):
-            split = build_splitting(seq, homology(seq))
+        seq = mv_sequence(pair)
+        drawn = drawn_bases(pair, rng)
+        transported = transported_dense_bases(seq, transport_bases(seq))
+        split = build_splitting(seq, homology(seq))
+        for bases in (None, drawn, transported):
             reference = identity_bases(seq) if bases is None else bases
             expected = torsion(seq, split, reference_bases=reference).value
             assert corrective_term(seq, bases).value == pytest.approx(expected, rel=1e-9), (
@@ -93,7 +100,7 @@ def test_transported_determinants_one_whenever_disk_injects():
         (circle(), Representation.trivial(1), circle(), diag_rep(2.0)),
     ]
     for m1, r1, m2, r2 in models:
-        seq = build_sequence(analyze_disk_sum(m1, r1, m2, r2))
+        seq = mv_sequence(analyze_disk_sum(m1, r1, m2, r2))
         assert matrix_rank(seq.boundary(2), 1e-8) == seq.dims[2]
         transported = transport_bases(seq)
         assert transported.residual == pytest.approx(1.0, abs=1e-9)
@@ -168,13 +175,27 @@ def solve_calls(monkeypatch):
     return calls
 
 
-def test_verify_mv_identity_takes_no_solve(solve_calls):
+def test_verify_mv_identity_builds_one_sequence(solve_calls, monkeypatch):
+    built = []
+    build = glue.mv_sequence
+
+    def counting(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(glue, "mv_sequence", counting)
     models = bit_models()
     for (m1, r1), (m2, r2) in ((models[0], models[0]), (models[2], models[4]),
                                (models[6], models[8])):
-        report = verify_mv_identity(analyze_disk_sum(m1, r1, m2, r2), draws=3, seed=1)
-        assert report.passed, (m1.name, m2.name)
-    assert len(solve_calls) == 0
+        pair = analyze_disk_sum(m1, r1, m2, r2)
+        for draws in (1, 10):
+            built.clear()
+            solve_calls.clear()
+            report = verify_mv_identity(pair, draws=draws, seed=1)
+            assert report.passed, (m1.name, m2.name)
+            assert len(built) == 1
+            # one solve per nonzero space per draw, in the corrective term
+            assert len(solve_calls) <= draws * sum(1 for n in built[0].dims if n)
 
 
 # the factors of the benchmark's chain workload, in its order
@@ -182,7 +203,20 @@ CHAIN = (circle(), wedge_of_circles(2), torus(), wedge_of_circles(3),
          circle(), torus(), bouquet(), wedge_of_circles(2))
 
 
-def test_chain_solves_only_in_the_rescaled_spaces(solve_calls):
+def test_chain_solves_only_in_the_rescaled_spaces(solve_calls, monkeypatch):
+    built, lstsq_calls = [], []
+    build, lstsq = glue.mv_sequence, np.linalg.lstsq
+
+    def building(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def counting(*args, **kwargs):
+        lstsq_calls.append(None)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(glue, "mv_sequence", building)
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
     # eigenvalues drawn as the chain workload draws them: modulus in
     # [1.3, 2.2] and a uniform phase
     rng = np.random.default_rng(1)
@@ -193,9 +227,17 @@ def test_chain_solves_only_in_the_rescaled_spaces(solve_calls):
         reps.append(diag_rep(*lams))
     report = verify_multiplicativity(list(CHAIN), reps)
     assert report.passed
-    # one solve per nonzero direct-sum space in each of the two corrective
-    # terms of a step; the dense identities took 102
-    assert len(solve_calls) <= 44
+    # each of the two corrective terms of a step solves once per nonzero
+    # direct-sum space, and below the top step, where H(M) carries the
+    # left factor's transported coordinates, once per nonzero M space
+    assert len(built) == len(CHAIN) - 1
+    expected = sum(2 * sum(1 for q, n in enumerate(seq.dims)
+                           if n and (q % 3 == 1 or (q % 3 == 0 and step)))
+                   for step, seq in enumerate(built))
+    assert len(solve_calls) == expected <= 80
+    # the least-squares solves are the sequences' class coordinates and
+    # connecting maps and the sections of every split, as before
+    assert len(lstsq_calls) <= 109
     # the step that unfolds factor k glues CHAIN[:k + 1]
     for step, k in zip(report.steps, range(len(CHAIN) - 1, 0, -1)):
         assert len(step.det_a) == max(cw.dimension for cw in CHAIN[:k + 1]) + 1

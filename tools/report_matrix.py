@@ -17,7 +17,9 @@ checkout (the script imports the package from that checkout's ``src/``):
     python tools/report_matrix.py > reports.txt
 
 Two checkouts give the same reports when ``cmp`` finds their outputs
-equal; copy the script into the older checkout to run it there.
+equal; copy the script into the older checkout to run it there.  When
+they differ, ``python tools/compare_reports.py A B`` says whether only
+numbers moved, and by how much under each key.
 """
 
 import contextlib
