@@ -206,9 +206,10 @@ class GroupRingMatrix:
     @classmethod
     def from_rows(cls, rows_of_entries) -> "GroupRingMatrix":
         grid = tuple(tuple(row) for row in rows_of_entries)
-        nrows = len(grid)
-        ncols = len(grid[0]) if nrows else 0
-        return cls(nrows, ncols, grid)
+        if not grid:  # no row, so no column count
+            raise DimensionMismatchError("from_rows needs a row; build an empty layer's "
+                                         "matrix with the constructor and its shape")
+        return cls(len(grid), len(grid[0]), grid)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "GroupRingMatrix":

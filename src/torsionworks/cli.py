@@ -206,7 +206,6 @@ def cmd_verify_theorem1(args) -> int:
             "left": step.left_name,
             "right": step.right_name,
             "corrective_term": _complex_pair(step.corrective),
-            "det_a": [_complex_pair(d) for d in step.det_a],
             "total_torsion": _complex_pair(step.total_torsion),
             "left_torsion": _complex_pair(step.left_torsion),
             "right_torsion": _complex_pair(step.right_torsion),

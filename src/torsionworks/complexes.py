@@ -208,22 +208,23 @@ class HomologyData:
     cycle_basis: list[np.ndarray]
     boundary_basis: list[np.ndarray]
     h_basis: list[np.ndarray]
+    section: list[np.ndarray]  # section[p], in degree p + 1, maps onto boundary_basis[p]
 
 
 def homology(tc, tol: float = DEFAULT_TOL) -> HomologyData:
     """Rank-revealing homology of a chain complex.
 
     Accepts any object with ``dims`` and ``boundary(p)``.  Each boundary
-    map is factored once: its SVD gives the cycles in its source degree
-    and the boundaries in its target degree.  The chosen homology
-    representatives are orthonormal cycles orthogonal to the boundary
-    space; betti numbers do not depend on that choice.
+    map is factored once: its SVD gives the cycles in its source degree,
+    the boundaries in its target degree and their section.  The chosen
+    homology representatives are orthonormal cycles orthogonal to the
+    boundary space; betti numbers do not depend on that choice.
     """
     n = len(tc.dims) - 1
-    betti, cycles, bounds, hs = [], [], [], []
-    z, _ = linalg.kernel_and_image(tc.boundary(0), tol)
+    betti, cycles, bounds, hs, sections = [], [], [], [], []
+    z, _, _ = linalg.kernel_and_image(tc.boundary(0), tol)
     for p in range(n + 1):
-        z_next, b = linalg.kernel_and_image(tc.boundary(p + 1), tol)
+        z_next, b, section = linalg.kernel_and_image(tc.boundary(p + 1), tol)
         k = z.shape[1] - b.shape[1]
         if k < 0:
             raise HomologyError(f"homology in degree {p}: {b.shape[1]} boundaries "
@@ -236,5 +237,6 @@ def homology(tc, tol: float = DEFAULT_TOL) -> HomologyData:
         cycles.append(z)
         bounds.append(b)
         hs.append(h)
+        sections.append(section)
         z = z_next
-    return HomologyData(betti, cycles, bounds, hs)
+    return HomologyData(betti, cycles, bounds, hs, sections)

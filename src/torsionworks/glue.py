@@ -11,7 +11,8 @@ The map beta = j1 + j2 only relabels cells (a bijection above degree 0),
 so it is never a matrix here: the glued complex and every beta-induced
 map are placements at the coordinates ``DiskSumResult.cell_maps`` gives.
 Alpha = (i1, -i2) embeds the disk's one cell as cell 0 of each factor;
-it is a small matrix, and the connecting map solves against it.
+it is a small matrix with orthogonal columns, and the connecting map
+pulls back along it by projection.
 
 The homology long exact sequence, read right to left, is the acyclic
 complex used here, of 3(n + 1) spaces for M of dimension n:
@@ -212,21 +213,18 @@ def placed_complex(ds: DiskSumResult, tc1: TwistedChainComplex,
     return TwistedChainComplex(d, [m * d for m in cells], mats)
 
 
-def _class_coordinates(vectors, h, boundary, tol):
-    """Coordinates of cycle columns in the basis ``h`` modulo boundaries."""
-    cols = vectors.shape[1]
-    blocks = [m for m in (h, boundary) if m.shape[1]]
-    if not blocks:
-        if not linalg.frobenius_norm(vectors) <= DEFECT_TOL:
-            raise SequenceError("nonzero vector mapped into a zero homology group")
-        return np.zeros((0, cols), dtype=complex)
-    solve_in = np.hstack(blocks)
-    coords, defect = linalg.min_norm_preimage(solve_in, vectors, tol)
+def _class_coordinates(vectors, h, boundary):
+    """Coordinates ``h^H v`` of cycle columns v in the basis ``h`` modulo
+    boundaries: ``homology`` chooses ``h`` and ``boundary`` orthonormal and
+    mutually orthogonal.  A column with a residue off both is rejected."""
+    coords = h.conj().T @ vectors
+    residue = vectors - h @ coords - boundary @ (boundary.conj().T @ vectors)
+    defect = linalg.relative_defect(residue, vectors)
     if not defect <= DEFECT_TOL:
         raise SequenceError(
             f"vector is not a cycle class in the given basis (defect {defect:.3e})"
         )
-    return coords[:h.shape[1], :]
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +283,10 @@ def mv_sequence(pair: GluedPair, tol: float = DEFAULT_TOL) -> MvSequence:
     placements at the coordinates of ``ds.cell_maps``: a factor's
     cycles are written there, and a cycle of M lifts by reading its
     factors' coordinates back, which is exact above degree 0.  Alpha,
-    (v, -v) on the shared 0-cell, is a small matrix the pull-back solves
-    against.  Exactness is verified, and the split that
-    ``corrective_term`` and ``transport_bases`` share is built at
-    ``tol`` and stored in ``split``, before returning.
+    (v, -v) on the shared 0-cell, has orthogonal columns of squared norm
+    2, so the pull-back is alpha^H / 2.  Exactness is verified, and the
+    split that ``corrective_term`` and ``transport_bases`` share is built
+    at ``tol`` and stored in ``split``, before returning.
     """
     tc1, tc2, tcm = pair.tc1, pair.tc2, pair.tcm
     degrees = tcm.dimension + 1
@@ -317,17 +315,15 @@ def mv_sequence(pair: GluedPair, tol: float = DEFAULT_TOL) -> MvSequence:
             images = np.zeros((tcm.dims[p], dims[q + 1]), dtype=complex)
             images[at1[p], :k1] = b1[p]
             images[at2[p], k1:] = b2[p]
-            mat = _class_coordinates(images, bm[p], pair.hdm.boundary_basis[p], tol)
+            mat = _class_coordinates(images, bm[p], pair.hdm.boundary_basis[p])
         maps.append(mat)
 
         # alpha-induced: H_p(D) -> H_p(M1) (+) H_p(M2)   (degree 0 only)
         mat = np.zeros((dims[q + 1], dims[q + 2]), dtype=complex)
         if dims[q + 2]:
             images = alpha @ bd[p]
-            c1 = _class_coordinates(images[:n1, :], b1[0],
-                                    pair.hd1.boundary_basis[0], tol)
-            c2 = _class_coordinates(images[n1:, :], b2[0],
-                                    pair.hd2.boundary_basis[0], tol)
+            c1 = _class_coordinates(images[:n1, :], b1[0], pair.hd1.boundary_basis[0])
+            c2 = _class_coordinates(images[n1:, :], b2[0], pair.hd2.boundary_basis[0])
             mat = np.vstack([c1, c2])
         maps.append(mat)
 
@@ -338,13 +334,14 @@ def mv_sequence(pair: GluedPair, tol: float = DEFAULT_TOL) -> MvSequence:
                 z = bm[p + 1]
                 bdry = np.vstack([tc1.boundary(p + 1) @ z[at1[p + 1]],
                                   tc2.boundary(p + 1) @ z[at2[p + 1]]])
-                pulled, defect = linalg.min_norm_preimage(alpha, bdry, tol)
+                pulled = alpha.conj().T @ bdry / 2
+                defect = linalg.relative_defect(alpha @ pulled - bdry, bdry)
                 if not defect <= DEFECT_TOL:
                     raise SequenceError(
                         f"degree {p + 1}: connecting boundary misses the disk image "
                         f"(defect {defect:.3e})"
                     )
-                mat = _class_coordinates(pulled, bd[p], pair.hdd.boundary_basis[p], tol)
+                mat = _class_coordinates(pulled, bd[p], pair.hdd.boundary_basis[p])
             maps.append(mat)
 
     tc = TwistedChainComplex(1, dims, maps)
@@ -425,8 +422,8 @@ class TransportedBases:
 
     In each direct-sum space q = 3p+1 the canonical factor basis is
     expressed in the split basis b_q | s_q(b_{q-1}) of
-    ``_split_boundary_bases`` through the invertible matrix A recorded
-    here; the leading vector of the space absorbs (det A)^{-1}.
+    ``_split_boundary_bases`` through an invertible matrix A of
+    determinant ``det_a[p]``; the leading vector absorbs (det A)^{-1}.
     ``residual`` is the corrective term left after that step, folded
     into the leading vector of the first nonzero direct-sum space, so
     ``corrective``, the corrective term in the bases so assigned, is 1
@@ -443,7 +440,6 @@ class TransportedBases:
 
     coords_m1: list[np.ndarray]
     coords_m2: list[np.ndarray]
-    transport_matrices: list[np.ndarray]
     det_a: list[complex]
     residual: complex
     corrective: TorsionResult
@@ -464,27 +460,22 @@ def transport_bases(seq: MvSequence, bases=None) -> TransportedBases:
     """
     direct_sums = range(1, len(seq.dims), 3)
     bases = [None] * len(seq.dims) if bases is None else list(bases)
-    a_matrices = []
     det_as = []
 
     for q in direct_sums:
         if bases[q] is not None:
             raise TransportError(f"space {q}: a direct-sum space takes no given basis")
         if seq.dims[q] == 0:
-            a_matrices.append(linalg.empty_matrix(0))
             det_as.append(complex(1.0))
             continue
-        # rows of A express the canonical factor basis in the split basis
-        try:
-            a = np.linalg.inv(assembled_matrix(seq, seq.split, q)).T
-        except np.linalg.LinAlgError as exc:
-            raise TransportError(f"space {q}: singular transport matrix") from exc
-        det_a = complex(np.linalg.det(a))
+        # A is the inverse transpose of the split basis's columns
+        det_split = complex(np.linalg.det(assembled_matrix(seq, seq.split, q)))
+        det_a = 1.0 / det_split if det_split else 0j
         if det_a == 0 or not np.isfinite(det_a):
-            raise TransportError(f"space {q}: transport matrix determinant is {det_a}")
+            raise TransportError(f"space {q}: singular transport matrix "
+                                 f"(split basis determinant {det_split})")
         bases[q] = np.eye(seq.dims[q], dtype=complex)
         bases[q][:, 0] /= det_a
-        a_matrices.append(a)
         det_as.append(det_a)
 
     residual = corrective_term(seq, bases).value
@@ -509,7 +500,6 @@ def transport_bases(seq: MvSequence, bases=None) -> TransportedBases:
     return TransportedBases(
         coords_m1=[block(p, h, True) for p, h in enumerate(seq.h_factors[0])],
         coords_m2=[block(p, h, False) for p, h in enumerate(seq.h_factors[1])],
-        transport_matrices=a_matrices,
         det_a=det_as,
         residual=residual,
         corrective=corrective_term(seq, bases),
@@ -633,7 +623,6 @@ class MultiplicativityStep:
     left_name: str
     right_name: str
     corrective: complex
-    det_a: list[complex]
     total_torsion: complex
     left_torsion: complex
     right_torsion: complex
@@ -706,7 +695,7 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     top = pairs[-1]
     split = build_splitting(top.tcm, top.hdm, h_m, tol=tol)
     total_torsion = torsion(top.tcm, split).value
-    coords_m = [None if h_m is None else _class_coordinates(h, canonical, boundary, tol)
+    coords_m = [None if h_m is None else _class_coordinates(h, canonical, boundary)
                 for h, canonical, boundary in zip(split.h, top.hdm.h_basis,
                                                   top.hdm.boundary_basis)]
     t_disk = torsion_of(top.tcd, top.hdd, tol=tol).value
@@ -725,7 +714,6 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
             left_name=left_names[k - 1],
             right_name=factors[k].name,
             corrective=transported.corrective.value,
-            det_a=transported.det_a,
             total_torsion=t_total,
             left_torsion=t_left,
             right_torsion=t_right,

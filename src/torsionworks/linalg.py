@@ -3,7 +3,8 @@
 All routines work on complex matrices whose "meaningful" scale is O(1);
 a matrix whose largest singular value falls below ``ZERO_FLOOR`` is
 treated as the zero map.  Rank decisions are otherwise relative to the
-largest singular value.
+largest singular value.  Each map is factored once, by the SVD of
+``kernel_and_image``, which also gives the image's minimum-norm section.
 
 Defect and composition checks take no SVD.  They bound the 2-norm from
 both sides instead: the Frobenius norm of a defect is at least its
@@ -13,7 +14,8 @@ max_column_norm(scale)`` therefore rejects everything the same check in
 2-norms rejects, and rejects a NaN defect.  This holds for the
 composition check ``nonzero_composition`` that ``twist`` and
 ``verify_exactness`` share, the cycle check of ``build_splitting`` and
-the defect of ``min_norm_preimage``.
+``relative_defect``, which the section, class-coordinate and pull-back
+checks share.
 
 Independence checks usually take no SVD either.  ``independent_columns``
 forms the Gram matrix G of the k unit-norm columns, which has a unit
@@ -247,13 +249,22 @@ def independent_columns(m, tol):
 
 def kernel_and_image(a, tol):
     """Orthonormal bases (columns) of the null space and the column space
-    of ``a``, both read from one SVD.  Raises RankAmbiguityError when the
-    rank is too close to call."""
+    U_r of ``a``, and the section V_r S_r^-1 that ``a`` maps onto U_r, all
+    read from one SVD a = U S V^H.  For y in the image, the section times
+    U_r^H y is the minimum-norm solution of a x = y.  Raises
+    RankAmbiguityError when the rank is too close to call."""
     if a.size == 0:
-        return np.eye(a.shape[1], dtype=complex), empty_matrix(a.shape[0])
+        return (np.eye(a.shape[1], dtype=complex), empty_matrix(a.shape[0]),
+                empty_matrix(a.shape[1]))
     u, sv, vh = np.linalg.svd(a)
     rank = svd_rank(sv, tol, check_ambiguity=True)
-    return vh[rank:, :].conj().T, u[:, :rank]
+    return vh[rank:, :].conj().T, u[:, :rank], vh[:rank, :].conj().T / sv[:rank]
+
+
+def relative_defect(residue, targets):
+    """Frobenius norm of ``residue`` over the larger of 1 and the largest
+    column norm of ``targets``: at least the relative 2-norm defect."""
+    return frobenius_norm(residue) / max(max_column_norm(targets), 1.0)
 
 
 def complement_in(span, subspace, count, tol):
@@ -273,19 +284,3 @@ def complement_in(span, subspace, count, tol):
             "directions outside the subspace"
         )
     return u[:, :count]
-
-
-def min_norm_preimage(a, targets, tol):
-    """Least-squares minimum-norm solve ``a @ x = targets`` column-wise.
-
-    Singular values of ``a`` below ``tol`` times the largest are treated
-    as zero.  Returns ``(x, residual)`` where residual is the Frobenius
-    norm of ``a @ x - targets`` over the larger of 1 and the largest
-    column norm of ``targets``: at least the relative 2-norm defect.
-    """
-    if targets.shape[1] == 0:
-        return empty_matrix(a.shape[1]), 0.0
-    x, *_ = np.linalg.lstsq(a, targets, rcond=tol)
-    defect = a @ x - targets
-    scale = max(max_column_norm(targets), 1.0)
-    return x, frobenius_norm(defect) / scale

@@ -58,7 +58,8 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
     ``hd.boundary_basis``; ``boundary_bases`` overrides it (any spanning
     choice is valid) and ``section_cycles`` adds cycle components to the
     minimum-norm sections; both exist so that independence from these
-    choices can be exercised directly.
+    choices can be exercised directly.  Sections come from ``hd.section``,
+    so no boundary map is factored again.
 
     Two checks need independence: the homology vectors with the boundary
     basis of their degree, and each split basis [b_p | h_p | s_p].  Both
@@ -97,7 +98,11 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
     ss = [linalg.empty_matrix(tc.dims[0])]
     for p in range(1, n + 1):
         target = bs[p - 1]
-        pre, defect = linalg.min_norm_preimage(tc.boundary(p), target, tol)
+        pre = hd.section[p - 1]
+        if boundary_bases is not None:
+            # the minimum-norm preimage, through target's image-basis coordinates
+            pre = pre @ (hd.boundary_basis[p - 1].conj().T @ target)
+        defect = linalg.relative_defect(tc.boundary(p) @ pre - target, target)
         if not defect <= DEFECT_TOL:
             raise SplittingError(
                 f"degree {p}: section defect {defect:.3e} exceeds {DEFECT_TOL:.0e}"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from torsionworks.algebra import (
     GroupPresentation,
     GroupRingElement,
+    GroupRingMatrix,
     Representation,
     Target,
     Word,
@@ -45,6 +46,16 @@ def test_killing_form_size_mismatch():
         killing_form(np.eye(2), np.eye(3))
     with pytest.raises(DimensionMismatchError):
         killing_form(np.zeros((2, 3)), np.zeros((3, 2)))
+
+
+def test_from_rows_of_no_rows_is_rejected():
+    # a grid of no rows says nothing of the column count, which an empty
+    # layer's boundary needs; the constructor takes the shape instead
+    with pytest.raises(DimensionMismatchError, match="shape"):
+        GroupRingMatrix.from_rows([])
+    assert GroupRingMatrix(0, 3, ()).cols == 3
+    assert GroupRingMatrix.from_rows([[]]).cols == 0
+    assert GroupRingMatrix.from_rows([[GroupRingElement.gen(0)] * 2]).cols == 2
 
 
 @given(st.integers(-4, 4), st.integers(-4, 4))

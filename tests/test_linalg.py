@@ -37,14 +37,18 @@ def two_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
-def test_min_norm_preimage_honors_tol():
+def test_sections_honor_tol():
+    # a target's coordinates in the image basis, through the section, give
+    # its minimum-norm preimage with the singular values below tol dropped
     a = np.diag([1.0, 1e-10]).astype(complex)
     targets = np.array([[0.0], [1e-10]], dtype=complex)
-    x, _ = linalg.min_norm_preimage(a, targets, 1e-8)
-    assert np.allclose(x, 0.0, atol=1e-12)
-    x, defect = linalg.min_norm_preimage(a, targets, 1e-12)
+    _, image, section = linalg.kernel_and_image(a, 1e-8)
+    assert image.shape == section.shape == (2, 1)
+    assert np.allclose(section @ (image.conj().T @ targets), 0.0, atol=1e-12)
+    _, image, section = linalg.kernel_and_image(a, 1e-12)
+    x = section @ (image.conj().T @ targets)
     assert np.allclose(x, [[0.0], [1.0]], atol=1e-9)
-    assert defect < 1e-15
+    assert linalg.relative_defect(a @ x - targets, targets) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +239,7 @@ def test_verify_exactness_rejects_compositions_just_past_the_threshold():
     rng = np.random.default_rng(12)
     dout = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
     dout[2] = dout[0] + dout[1]  # rank 2, so the kernel has dimension 3
-    kernel, _ = linalg.kernel_and_image(dout, linalg.DEFAULT_TOL)
+    kernel, _, _ = linalg.kernel_and_image(dout, linalg.DEFAULT_TOL)
     exact = kernel @ (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
     noise = rng.normal(size=exact.shape) + 1j * rng.normal(size=exact.shape)
 
@@ -248,22 +252,36 @@ def test_verify_exactness_rejects_compositions_just_past_the_threshold():
         glue.verify_exactness(sequence_with(dout, exact + eps * noise))
 
 
-def test_min_norm_preimage_defect_just_past_the_threshold():
+def test_class_coordinates_reject_a_defect_just_past_the_threshold():
     rng = np.random.default_rng(13)
-    a = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
-    reachable = a @ (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
-    # off the column space of a: no solve reaches it
-    off = rng.normal(size=reachable.shape) + 1j * rng.normal(size=reachable.shape)
-    q, _ = np.linalg.qr(a)
+    q = orthonormal(rng, 6, 3)
+    h, boundary = q[:, :2], q[:, 2:]
+    reachable = q @ complex_normal(rng, (3, 3))
+    # off the span of [h | boundary]: no class coordinates reach it
+    off = complex_normal(rng, reachable.shape)
     off -= q @ (q.conj().T @ off)
 
     def ratio(eps):
-        targets = reachable + eps * off
-        return two_norm(eps * off) / max(two_norm(targets), 1.0)
+        vectors = reachable + eps * off
+        return two_norm(eps * off) / max(two_norm(vectors), 1.0)
 
     eps = just_past(ratio, linalg.DEFECT_TOL)
-    _, defect = linalg.min_norm_preimage(a, reachable + eps * off, linalg.DEFAULT_TOL)
-    assert defect > linalg.DEFECT_TOL
+    with pytest.raises(SequenceError, match="not a cycle class"):
+        glue._class_coordinates(reachable + eps * off, h, boundary)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 4.08e-9, 4.09e-9, 1e-8, 1.0, 1e3])
+def test_class_coordinates_in_a_zero_group_accept_only_a_tiny_frobenius_norm(scale):
+    # with no basis the residue is the vectors themselves: the relative
+    # defect accepts exactly when their Frobenius norm is within DEFECT_TOL,
+    # since a column norm above 1 makes the Frobenius norm exceed 1
+    vectors = scale * np.ones((3, 2), dtype=complex)  # Frobenius norm scale * sqrt(6)
+    empty = linalg.empty_matrix(3)
+    if linalg.frobenius_norm(vectors) <= linalg.DEFECT_TOL:
+        assert glue._class_coordinates(vectors, empty, empty).shape == (0, 2)
+    else:
+        with pytest.raises(SequenceError):
+            glue._class_coordinates(vectors, empty, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +399,26 @@ def two_columns_at_ratio(r):
 def test_independence_certificate_decides_as_the_svd(case):
     m, tol = case
     assert outcome(linalg.independent_columns, m, tol) == outcome(svd_independent, m, tol)
+
+
+@st.composite
+def rank_deficient(draw):
+    """A complex U diag(s) V^H of rank r, its s in [0.1, 10], far from any cutoff."""
+    rng = np.random.default_rng(draw(seeds))
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    r = draw(st.integers(0, min(m, n)))
+    s = rng.uniform(0.1, 10.0, size=r)
+    return (orthonormal(rng, m, r) * s) @ orthonormal(rng, n, r).conj().T
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_deficient(), st.sampled_from([1e-10, 1e-8, 1e-6]))
+def test_section_is_the_least_squares_preimage_of_the_image_basis(a, tol):
+    _, image, section = linalg.kernel_and_image(a, tol)
+    reference, *_ = np.linalg.lstsq(a, image, rcond=tol)
+    assert section.shape == reference.shape
+    assert (linalg.frobenius_norm(section - reference)
+            <= 1e-12 * linalg.frobenius_norm(reference))
 
 
 def test_near_orthonormal_columns_take_no_svd(monkeypatch):

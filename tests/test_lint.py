@@ -1,5 +1,6 @@
 """Source checks on tolerances: each is named once, in ``linalg``, and no
-rejection against one lets a NaN through."""
+rejection against one lets a NaN through; and source checks that each
+boundary map is factored once, by its SVD, and never by a solver."""
 
 import ast
 from pathlib import Path
@@ -55,4 +56,31 @@ def greater_than_bound(path):
 
 def test_no_comparison_rejects_with_greater_than_a_tolerance():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in greater_than_bound(path)]
+    assert found == []
+
+
+# a least-squares solve or pseudo-inverse would factor a map a second time;
+# inverses belong to the word images that ``algebra`` conjugates by
+SOLVERS = {"lstsq", "pinv"}
+
+
+def named(tree):
+    """Line and identifier of every name, attribute and imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name.rpartition(".")[2]
+
+
+def solver_uses(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    banned = SOLVERS if path.name == "algebra.py" else SOLVERS | {"inv"}
+    return [f"{path.name}:{line}: {name}" for line, name in named(tree) if name in banned]
+
+
+def test_no_solver_and_no_inverse_outside_algebra():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in solver_uses(path)]
     assert found == []

@@ -1,6 +1,5 @@
 """One factorization per boundary map, one exactness check per sequence."""
 
-import itertools
 import sys
 
 import numpy as np
@@ -79,30 +78,22 @@ def test_chain_twists_and_factors_each_complex_once(monkeypatch):
     counting(glue, "build_splitting")
     counting(torsion, "build_splitting")
 
-    # the solves mv_sequence makes itself, each with its glued pair
-    solves = []
-    sequence_code, min_norm_preimage = glue.mv_sequence.__code__, linalg.min_norm_preimage
+    # sections come from the SVDs of homology and the gluing maps are read
+    # off orthonormal bases, so no least-squares problem is solved at all
+    lstsq_calls = []
+    lstsq = np.linalg.lstsq
 
-    def recording_solve(a, targets, tol):
-        caller = sys._getframe(1)
-        if caller.f_code is sequence_code:
-            solves.append((a.shape[1], caller.f_locals["pair"]))
-        return min_norm_preimage(a, targets, tol)
+    def recording_lstsq(a, *args, **kwargs):
+        lstsq_calls.append(np.shape(a))
+        return lstsq(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "min_norm_preimage", recording_solve)
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
     factors = [circle(), wedge_of_circles(2), torus(), bouquet()]
     reps = [diag_rep(2.0), diag_rep(3.0, 1.5), diag_rep(2.0, 3.0), diag_rep(2.5)]
     report = glue.verify_multiplicativity(factors, reps)
     assert report.passed
+    assert lstsq_calls == []
     n = len(factors)
-    # a cycle of M lifts to the factors by reading its coordinates; no
-    # solve is as wide as a chain group C_p(M), p >= 1, of both factors' cells
-    assert solves
-    for width, pair in solves:
-        dims = itertools.zip_longest(pair.tcm.dims, pair.tc1.dims, pair.tc2.dims,
-                                     fillvalue=0)
-        glued = [n for p, (n, n1, n2) in enumerate(dims) if p and n1 and n2]
-        assert width not in glued, (width, pair.ds.total.name)
     # each factor and the disk once; the glued spaces are placed, not twisted
     assert counts["twist"] == n + 1
     # the n factors, the n - 1 glued spaces, the disk and the n - 1 sequences
@@ -116,6 +107,39 @@ def test_chain_twists_and_factors_each_complex_once(monkeypatch):
         assert after.total_torsion == step.left_torsion
     assert report.factor_torsions[0] == report.steps[-1].left_torsion
     assert len({step.disk_torsion for step in report.steps}) == 1
+
+
+def test_torsion_and_gluing_solve_and_invert_nothing(basis, rng, monkeypatch):
+    # one SVD per boundary map is the only factorization: no least-squares
+    # solve, pseudo-inverse or inverse, except the inverses of the word
+    # images that twisting conjugates by, in ``algebra``
+    calls = []
+
+    def recording(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, sys._getframe(1).f_globals["__name__"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    wedge = Representation.from_images([random_sl2(rng), random_sl2(rng)])
+    # the identity of a generic wedge_2 glued to a torus still flips its
+    # sign, so the torus comes first
+    factors = [torus(), wedge_of_circles(2), bouquet(), circle()]
+    reps = [diag_rep(2.0, 3.0), wedge, diag_rep(2.5), diag_rep(1.5)]
+    tc = twist(torus(), reps[0], basis)
+    hd = homology(tc)
+    pair = glue.analyze_disk_sum(factors[0], reps[0], factors[1], reps[1])
+    for name in ("lstsq", "pinv", "inv"):
+        recording(name)
+
+    torsion.torsion_of(tc, hd)
+    assert glue.verify_mv_identity(pair, draws=3).passed
+    assert calls == []
+    assert glue.verify_multiplicativity(factors, reps).passed
+    assert calls and set(calls) == {("inv", "torsionworks.algebra")}
 
 
 def test_complement_in_span_inside_subspace():
@@ -216,8 +240,8 @@ def test_canonical_split_bases_take_no_svd(make, basis, monkeypatch):
 
 def test_chain_split_bases_take_no_svd(monkeypatch):
     # an 8-factor chain splits 8 factors, 7 glued spaces, the disk and 7
-    # sequences; homology and the sequence solves take 120 SVDs, and an SVD
-    # per split-basis check would add 137
+    # sequences; homology takes 106 SVDs, and an SVD per split-basis check
+    # would add 137
     factors = [circle(), wedge_of_circles(2), torus(), wedge_of_circles(3),
                circle(), torus(), bouquet(), wedge_of_circles(2)]
     rng = np.random.default_rng(16)

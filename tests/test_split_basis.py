@@ -204,18 +204,23 @@ CHAIN = (circle(), wedge_of_circles(2), torus(), wedge_of_circles(3),
 
 
 def test_chain_solves_only_in_the_rescaled_spaces(solve_calls, monkeypatch):
-    built, lstsq_calls = [], []
-    build, lstsq = glue.mv_sequence, np.linalg.lstsq
+    built, transported, lstsq_calls = [], [], []
+    build, transport, lstsq = glue.mv_sequence, glue.transport_bases, np.linalg.lstsq
 
     def building(*args, **kwargs):
         built.append(build(*args, **kwargs))
         return built[-1]
+
+    def transporting(*args, **kwargs):
+        transported.append(transport(*args, **kwargs))
+        return transported[-1]
 
     def counting(*args, **kwargs):
         lstsq_calls.append(None)
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(glue, "mv_sequence", building)
+    monkeypatch.setattr(glue, "transport_bases", transporting)
     monkeypatch.setattr(np.linalg, "lstsq", counting)
     # eigenvalues drawn as the chain workload draws them: modulus in
     # [1.3, 2.2] and a uniform phase
@@ -235,9 +240,10 @@ def test_chain_solves_only_in_the_rescaled_spaces(solve_calls, monkeypatch):
                            if n and (q % 3 == 1 or (q % 3 == 0 and step)))
                    for step, seq in enumerate(built))
     assert len(solve_calls) == expected <= 80
-    # the least-squares solves are the sequences' class coordinates and
-    # connecting maps and the sections of every split, as before
-    assert len(lstsq_calls) <= 109
+    # sections come from the SVDs of homology and class coordinates are
+    # projections, so nothing is solved in the least-squares sense
+    assert lstsq_calls == []
     # the step that unfolds factor k glues CHAIN[:k + 1]
-    for step, k in zip(report.steps, range(len(CHAIN) - 1, 0, -1)):
-        assert len(step.det_a) == max(cw.dimension for cw in CHAIN[:k + 1]) + 1
+    assert len(transported) == len(report.steps)
+    for t, k in zip(transported, range(len(CHAIN) - 1, 0, -1)):
+        assert len(t.det_a) == max(cw.dimension for cw in CHAIN[:k + 1]) + 1

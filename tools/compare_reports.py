@@ -10,7 +10,7 @@ and names the first difference when the two outputs run different
 commands, or a command differs in its exit code, its stderr or any token
 of its stdout that is not a number: a key, a string, a boolean, a list
 length.  Otherwise it exits 0 and prints the byte-identical commands,
-then, for each key path with list indices left out (``steps.det_a``),
+then, for each key path with list indices left out (``steps.left_torsion``),
 the largest absolute and relative change of any number under it, over
 all commands.  A number in a list is measured relative to the largest
 number of that list, so a complex number [re, im] relative to its
