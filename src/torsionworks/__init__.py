@@ -66,6 +66,7 @@ from .torsion import (
     HomologySplitting,
     TorsionResult,
     build_splitting,
+    rebased,
     torsion_independence_check,
     torsion_of,
 )

@@ -48,7 +48,7 @@ class SequenceError(TorsionworksError):
 
 
 class TransportError(TorsionworksError):
-    """Basis transport hit a singular transition matrix."""
+    """Basis transport was given a basis it assigns, or cannot normalize."""
 
 
 class DiskSumError(TorsionworksError):

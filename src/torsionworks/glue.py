@@ -22,7 +22,7 @@ complex used here, of 3(n + 1) spaces for M of dimension n:
     space 3p+2 : H_p(D)          (zero above degree 0)
 
 ``MvSequence`` is that sequence as a chain complex with d = 1 and its
-split basis, built once per pair in canonical homology bases.  Its
+torsion, built and split once per pair in canonical homology bases.  Its
 torsion in any other bases, passed to ``corrective_term`` as coordinates
 in the canonical ones, is the corrective term; in the bases
 ``transport_bases`` assigns it equals 1 exactly, which reduces the
@@ -58,6 +58,7 @@ from .complexes import (
     untwisted_betti0,
 )
 from .errors import (
+    DimensionMismatchError,
     DiskSumError,
     HomologyError,
     SequenceError,
@@ -66,14 +67,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, DEFECT_TOL, PASS_TOL
 from .scenes import disk
-from .torsion import (
-    HomologySplitting,
-    TorsionResult,
-    assembled_matrix,
-    build_splitting,
-    torsion,
-    torsion_of,
-)
+from .torsion import TorsionResult, build_splitting, rebased, torsion, torsion_of
 
 # ---------------------------------------------------------------------------
 # disk sum of CW data
@@ -258,11 +252,11 @@ class MvSequence(TwistedChainComplex):
     ``corrective_term`` as coordinates in these.  In the direct-sum
     space 3p+1 the coordinates of ``h_factors[0][p]`` come first and
     those of ``h_factors[1][p]`` last.  ``mv_sequence`` checks exactness
-    and builds ``split`` once.
+    and takes ``canonical``, the torsion in these bases, once.
     """
 
     h_factors: tuple[list[np.ndarray], list[np.ndarray]]
-    split: HomologySplitting
+    canonical: TorsionResult
 
 
 def _padded(hlist, degrees):
@@ -285,8 +279,8 @@ def mv_sequence(pair: GluedPair, tol: float = DEFAULT_TOL) -> MvSequence:
     factors' coordinates back, which is exact above degree 0.  Alpha,
     (v, -v) on the shared 0-cell, has orthogonal columns of squared norm
     2, so the pull-back is alpha^H / 2.  Exactness is verified, and the
-    split that ``corrective_term`` and ``transport_bases`` share is built
-    at ``tol`` and stored in ``split``, before returning.
+    torsion that ``corrective_term`` and ``transport_bases`` rebase is
+    taken at ``tol`` and stored in ``canonical``, before returning.
     """
     tc1, tc2, tcm = pair.tc1, pair.tc2, pair.tcm
     degrees = tcm.dimension + 1
@@ -349,7 +343,7 @@ def mv_sequence(pair: GluedPair, tol: float = DEFAULT_TOL) -> MvSequence:
     split = build_splitting(tc, hd, tol=tol,
                             boundary_bases=_split_boundary_bases(tc, hd.boundary_basis))
     return MvSequence(1, dims, maps, h_factors=(pair.hd1.h_basis, pair.hd2.h_basis),
-                      split=split)
+                      canonical=torsion(tc, split))
 
 
 def verify_exactness(tc: TwistedChainComplex, tol: float = DEFAULT_TOL) -> HomologyData:
@@ -383,9 +377,9 @@ def _split_boundary_bases(seq: TwistedChainComplex,
     clean it is replaced by the vectors the construction names: the
     disk-image vectors themselves when the disk inclusion injects, and
     the identity on H_p(M) when the gluing map onto it is surjective.
-    ``transport_bases`` and ``corrective_term`` both split with these
-    bases, so the determinants one normalizes are the ones the other
-    reports.
+    ``transport_bases`` and ``corrective_term`` both rebase the torsion
+    split with these bases, so the determinants one normalizes are the
+    ones the other reports.
     """
     out = list(images)
     if seq.dims[2] and images[1].shape[1] == seq.dims[2]:
@@ -401,15 +395,19 @@ def corrective_term(seq: MvSequence, bases=None) -> TorsionResult:
 
     ``bases[q]`` holds the coordinates of the assigned basis of space q
     in the canonical one ``mv_sequence`` wrote it in, so it multiplies
-    the value by det(bases[q])^((-1)^(q+1)); in a direct-sum space the
-    factors' coordinates sit block-diagonally, the first factor's first.
-    None, for ``bases`` or an entry, is the identity, which ``torsion``
-    skips.  The sequence is acyclic, so each space splits as b_q +
-    s_q(b_{q-1}), with the boundary bases b_q of ``_split_boundary_bases``
+    ``seq.canonical`` by det(bases[q])^((-1)^(q+1)); in a direct-sum space
+    the factors' coordinates sit block-diagonally, the first factor's
+    first.  None, for ``bases`` or an entry, is the identity; an entry
+    not n x n for a space of dimension n raises DimensionMismatchError, a
+    singular one SplittingError.  The sequence is acyclic, so each space
+    splits as b_q + s_q(b_{q-1}), with the b_q of ``_split_boundary_bases``
     that ``transport_bases`` normalizes.  The value does not depend on
     that choice; the per-degree determinants do.
     """
-    return torsion(seq, seq.split, reference_bases=bases)
+    for q, (n, c) in enumerate(zip(seq.dims, bases or ())):
+        if c is not None and np.shape(c) != (n, n):
+            raise DimensionMismatchError(f"space {q}: {np.shape(c)} coordinates, dimension {n}")
+    return rebased(seq.canonical, bases, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,31 +450,23 @@ def transport_bases(seq: MvSequence, bases=None) -> TransportedBases:
     them; its direct-sum entries must be None, since they are assigned
     here.  In each direct-sum space the canonical factor basis is
     rewritten in the split basis [boundary basis | section of the
-    previous boundary basis] that ``corrective_term`` also uses, and the
-    determinant of that rewrite is pushed into the first factor vector,
-    a diagonal basis of the space.  A final rescale of one vector
+    previous boundary basis] of ``seq.canonical``, and the determinant of
+    that rewrite, which it records, is pushed into the first factor
+    vector, a diagonal basis of the space.  A final rescale of one vector
     cancels whatever the M and D spaces contribute;
     ``TransportedBases`` says when every per-degree determinant is 1.
     """
     direct_sums = range(1, len(seq.dims), 3)
     bases = [None] * len(seq.dims) if bases is None else list(bases)
-    det_as = []
+    # A is the inverse transpose of the split basis's columns
+    det_as = [seq.canonical.per_degree_determinants[q] for q in direct_sums]
 
-    for q in direct_sums:
+    for q, det_a in zip(direct_sums, det_as):
         if bases[q] is not None:
             raise TransportError(f"space {q}: a direct-sum space takes no given basis")
-        if seq.dims[q] == 0:
-            det_as.append(complex(1.0))
-            continue
-        # A is the inverse transpose of the split basis's columns
-        det_split = complex(np.linalg.det(assembled_matrix(seq, seq.split, q)))
-        det_a = 1.0 / det_split if det_split else 0j
-        if det_a == 0 or not np.isfinite(det_a):
-            raise TransportError(f"space {q}: singular transport matrix "
-                                 f"(split basis determinant {det_split})")
-        bases[q] = np.eye(seq.dims[q], dtype=complex)
-        bases[q][:, 0] /= det_a
-        det_as.append(det_a)
+        if seq.dims[q]:
+            bases[q] = np.eye(seq.dims[q], dtype=complex)
+            bases[q][:, 0] /= det_a
 
     residual = corrective_term(seq, bases).value
     slot = next((q for q in direct_sums if seq.dims[q]), None)
@@ -567,11 +557,6 @@ class MvIdentityReport:
         return self.max_residual <= self.tolerance
 
 
-def _torsion_in(tc, hd, coords, tol):
-    """Torsion of ``tc`` in the canonical homology bases of ``hd`` times ``coords``."""
-    return torsion_of(tc, hd, [h @ c for h, c in zip(hd.h_basis, coords)], tol=tol).value
-
-
 def _sequence_bases(coords_m, coords_1, coords_2, coords_d):
     """Every space's basis from per-degree coordinates in H(M), H(M1), H(M2)
     and H(D), the factors' block-diagonally in each direct-sum space."""
@@ -589,11 +574,11 @@ def verify_mv_identity(pair: GluedPair, draws: int = 10, seed: int = 0,
                        pass_tol: float = PASS_TOL) -> MvIdentityReport:
     """Check T(M1) T(M2) = T(M) T(D) T(sequence) on ``draws`` >= 1 random bases.
 
-    The sequence is built once, in canonical bases.  Each draw takes
-    random coordinates per degree of M1, M2, M and D, in that order
-    (``linalg.random_recombination`` of identity blocks); each complex's
-    torsion is taken in its canonical basis times them, and the
-    corrective term in the coordinates themselves.
+    The sequence and each complex's torsion are taken once, in canonical
+    bases.  Each draw takes random coordinates per degree of M1, M2, M
+    and D, in that order (``linalg.random_recombination`` of identity
+    blocks), which enter by covariance: each torsion is ``rebased`` by
+    them, and the corrective term takes them as they are.
     """
     if draws < 1:
         raise TorsionworksError(f"verify_mv_identity needs at least one draw, got {draws}")
@@ -601,12 +586,12 @@ def verify_mv_identity(pair: GluedPair, draws: int = 10, seed: int = 0,
     seq = mv_sequence(pair, tol=tol)
     factored = ((pair.tc1, pair.hd1), (pair.tc2, pair.hd2),
                 (pair.tcm, pair.hdm), (pair.tcd, pair.hdd))
+    canonical = [torsion_of(tc, hd, tol=tol) for tc, hd in factored]
     residuals = []
     for _ in range(draws):
         mixes = [linalg.random_recombination([np.eye(k, dtype=complex) for k in hd.betti], rng)
                  for _, hd in factored]
-        t1, t2, tm, td = (_torsion_in(tc, hd, coords, tol)
-                          for (tc, hd), coords in zip(factored, mixes))
+        t1, t2, tm, td = (rebased(t, coords, 1).value for t, coords in zip(canonical, mixes))
         c1, c2, cm, cd = mixes
         th = corrective_term(seq, _sequence_bases(cm, c1, c2, cd)).value
         lhs = t1 * t2
@@ -677,9 +662,9 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     and the basis of H(M) travels down the chain as coordinates in the
     canonical one: those of the classes of ``h_m`` at the top (None when
     it is omitted), then the left factor's transported coordinates,
-    diagonal scalings, below.  Cycle vectors are formed only to take a
-    factor's torsion, and each torsion once: a step's ``left_torsion``
-    is the ``total_torsion`` of the next step.
+    diagonal scalings, below.  Each torsion is taken once, in canonical
+    bases, and ``rebased`` by the transported coordinates: a step's
+    ``left_torsion`` is the ``total_torsion`` of the next step.
     """
     if len(factors) < 2:
         raise DiskSumError("need at least two factors")
@@ -708,8 +693,8 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
         bases = [None] * len(seq.dims)
         bases[0::3] = coords_m
         transported = transport_bases(seq, bases)
-        t_left = _torsion_in(pair.tc1, pair.hd1, transported.coords_m1, tol)
-        t_right = _torsion_in(pair.tc2, pair.hd2, transported.coords_m2, tol)
+        t_left = rebased(torsion_of(pair.tc1, pair.hd1, tol=tol), transported.coords_m1, 1).value
+        t_right = rebased(torsion_of(pair.tc2, pair.hd2, tol=tol), transported.coords_m2, 1).value
         steps.append(MultiplicativityStep(
             left_name=left_names[k - 1],
             right_name=factors[k].name,

@@ -11,9 +11,10 @@ M_p, and the torsion is
 Equivalently, with D_p the determinant of the inverse transition
 (reference basis expressed in the split basis, which is what
 ``per_degree_determinants`` records), T = prod_p D_p^{(-1)^(p+1)}.
-The value does not depend on the choice of boundary bases or sections
-and rescales covariantly in the homology bases; empty degrees
-contribute the empty-product value 1.
+The value does not depend on the choice of boundary bases or sections,
+and a change of basis multiplies it by a determinant (Milnor, *Whitehead
+torsion*, section 3), which ``rebased`` applies; empty degrees contribute
+the empty-product value 1.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class TorsionResult:
     reference basis in the split basis b_p | h_p | s_p(b_{p-1}) that
     ``build_splitting`` assembled: b_p is the orthonormal image basis
     that ``homology`` computed unless the caller passed
-    ``boundary_bases`` (the corrective term passes the split basis that
+    ``boundary_bases`` (``mv_sequence`` passes the split basis that
     ``transport_bases`` normalizes).
     Each determinant depends on that choice of b_p; the value, their
     alternating product with exponent (-1)^(p+1), does not.
@@ -153,28 +154,40 @@ class TorsionResult:
     per_degree_determinants: list[complex]
 
 
-def torsion(tc, split: HomologySplitting, reference_bases=None) -> TorsionResult:
-    """Alternating product of transition determinants for a split complex.
-
-    ``reference_bases[p]`` replaces the standard coordinate basis of
-    C_p (used when the chain groups carry assigned bases, as in the
-    corrective term); default is the geometric basis = identity.
-    """
-    n = len(tc.dims) - 1
+def torsion(tc, split: HomologySplitting) -> TorsionResult:
+    """Alternating product of transition determinants for a split complex,
+    against the standard coordinate basis of each chain group."""
     value = complex(1.0)
     dets = []
-    for p in range(n + 1):
-        if tc.dims[p] == 0:
+    for p, dim in enumerate(tc.dims):
+        if dim == 0:
             dets.append(complex(1.0))
             continue
-        m = assembled_matrix(tc, split, p)
-        if reference_bases is not None and reference_bases[p] is not None:
-            m = np.linalg.solve(np.asarray(reference_bases[p], dtype=complex), m)
-        det = complex(np.linalg.det(m))
+        det = complex(np.linalg.det(assembled_matrix(tc, split, p)))
         if det == 0 or not np.isfinite(det):
             raise SplittingError(f"degree {p}: singular transition matrix")
         dets.append(1.0 / det)
         value *= det ** ((-1) ** p)
+    return TorsionResult(value=value, per_degree_determinants=dets)
+
+
+def rebased(result: TorsionResult, coords, sign: int) -> TorsionResult:
+    """``result`` in the bases whose coordinates in the old ones are ``coords``.
+
+    A homology basis change h_p -> h_p C_p (``sign`` 1) multiplies the
+    value by det(C_p)^((-1)^p), a reference basis change (``sign`` -1) by
+    det(C_p)^((-1)^(p+1)), and D_p by det(C_p)^(-sign).  None and empty
+    entries are the identity; a singular or non-finite C_p raises SplittingError.
+    """
+    value, dets = result.value, list(result.per_degree_determinants)
+    for p, c in enumerate(coords or ()):
+        if c is None or not np.size(c):
+            continue
+        det = complex(np.linalg.det(c)) if np.isfinite(c).all() else complex(np.nan)
+        if det == 0 or not np.isfinite(det):
+            raise SplittingError(f"degree {p}: singular change of basis (determinant {det})")
+        value *= det ** (sign * (-1) ** p)
+        dets[p] *= det ** -sign
     return TorsionResult(value=value, per_degree_determinants=dets)
 
 

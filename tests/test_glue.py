@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from torsionworks import glue
+from torsionworks import torsion as torsion_module
 from torsionworks.algebra import (
     GroupPresentation,
     Representation,
@@ -29,7 +32,7 @@ from torsionworks.glue import (
 )
 from torsionworks.linalg import DEFAULT_TOL, DEFECT_TOL, matrix_rank, relative_defect
 from torsionworks.scenes import circle, point, wedge_of_circles
-from torsionworks.torsion import build_splitting, torsion, torsion_of
+from torsionworks.torsion import TorsionResult, build_splitting, torsion, torsion_of
 
 from conftest import bouquet, diag_rep, random_sl2, sphere, torus
 
@@ -249,23 +252,28 @@ def test_exactness_rejects_dimensions_that_do_not_alternate_to_zero():
 
 
 def test_copies_and_transport_read_the_split_mv_sequence_built(monkeypatch):
+    # det A and both corrective terms come from seq.canonical, the torsion
+    # mv_sequence took once; transport_bases splits and assembles nothing
     pair = analyze_disk_sum(wedge_of_circles(2), diag_rep(2.0, 3.0), circle(), diag_rep(5.0))
     seq = mv_sequence(pair)
-    read = []
-    assembled, torsion_value = glue.assembled_matrix, glue.torsion
+    calls = []
 
-    def recording_assembled(tc, split, p):
-        read.append(split)
-        return assembled(tc, split, p)
+    def refused(name):
+        return lambda *args, **kwargs: calls.append(name)
 
-    def recording_torsion(tc, split, **kwargs):
-        read.append(split)
-        return torsion_value(tc, split, **kwargs)
-
-    monkeypatch.setattr(glue, "assembled_matrix", recording_assembled)
-    monkeypatch.setattr(glue, "torsion", recording_torsion)
-    transport_bases(seq)
-    assert read and all(split is seq.split for split in read)
+    for module, name in ((torsion_module, "assembled_matrix"),
+                         (torsion_module, "build_splitting"), (glue, "build_splitting"),
+                         (glue, "torsion"), (glue, "torsion_of")):
+        monkeypatch.setattr(module, name, refused(name))
+    transported = transport_bases(seq)
+    assert calls == []
+    dets = seq.canonical.per_degree_determinants
+    assert transported.det_a == [dets[q] for q in range(1, len(seq.dims), 3)]
+    doubled = dataclasses.replace(
+        seq, canonical=TorsionResult(2 * seq.canonical.value, dets))
+    assert transport_bases(doubled).residual == pytest.approx(2 * transported.residual,
+                                                              rel=1e-15)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

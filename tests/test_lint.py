@@ -59,9 +59,10 @@ def test_no_comparison_rejects_with_greater_than_a_tolerance():
     assert found == []
 
 
-# a least-squares solve or pseudo-inverse would factor a map a second time;
-# inverses belong to the word images that ``algebra`` conjugates by
-SOLVERS = {"lstsq", "pinv"}
+# a least-squares solve or pseudo-inverse would factor a map a second time,
+# and a solve against a basis is a determinant of its coordinates; inverses
+# belong to the word images that ``algebra`` conjugates by
+SOLVERS = {"lstsq", "pinv", "solve"}
 
 
 def named(tree):

@@ -110,9 +110,9 @@ def test_chain_twists_and_factors_each_complex_once(monkeypatch):
 
 
 def test_torsion_and_gluing_solve_and_invert_nothing(basis, rng, monkeypatch):
-    # one SVD per boundary map is the only factorization: no least-squares
-    # solve, pseudo-inverse or inverse, except the inverses of the word
-    # images that twisting conjugates by, in ``algebra``
+    # one SVD per boundary map is the only factorization: no solve,
+    # least-squares solve, pseudo-inverse or inverse, except the inverses
+    # of the word images that twisting conjugates by, in ``algebra``
     calls = []
 
     def recording(name):
@@ -132,7 +132,7 @@ def test_torsion_and_gluing_solve_and_invert_nothing(basis, rng, monkeypatch):
     tc = twist(torus(), reps[0], basis)
     hd = homology(tc)
     pair = glue.analyze_disk_sum(factors[0], reps[0], factors[1], reps[1])
-    for name in ("lstsq", "pinv", "inv"):
+    for name in ("solve", "lstsq", "pinv", "inv"):
         recording(name)
 
     torsion.torsion_of(tc, hd)

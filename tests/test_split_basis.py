@@ -1,25 +1,30 @@
 """The split basis shared by ``transport_bases`` and ``corrective_term``,
-and the assigned bases ``transport_bases`` passes to ``corrective_term``."""
+the assigned bases ``transport_bases`` passes to ``corrective_term``, and
+the covariance by which every other basis enters a torsion."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torsionworks import glue
+from torsionworks import glue, torsion
 from torsionworks.algebra import Representation
-from torsionworks.complexes import homology
+from torsionworks.complexes import TwistedChainComplex
+from torsionworks.errors import DimensionMismatchError, SplittingError
 from torsionworks.glue import (
     analyze_disk_sum,
     corrective_term,
     mv_sequence,
     transport_bases,
+    verify_exactness,
     verify_multiplicativity,
     verify_mv_identity,
 )
 from torsionworks.linalg import matrix_rank, random_recombination
 from torsionworks.scenes import circle, point, wedge_of_circles
-from torsionworks.torsion import build_splitting, torsion
+from torsionworks.torsion import rebased, torsion_of
 
 from conftest import bouquet, diag_rep, random_sl2, torus
 
@@ -61,33 +66,47 @@ def transported_dense_bases(seq, transported):
 
 
 def drawn_bases(pair, rng):
-    """Random coordinates of bases of H(M1), H(M2) and H(M), one block per
-    degree, placed as the sequence's bases (D keeps its canonical one)."""
-    c1, c2, cm = (random_recombination([np.eye(k, dtype=complex) for k in hd.betti], rng)
-                  for hd in (pair.hd1, pair.hd2, pair.hdm))
+    """Random coordinates of bases of H(M1), H(M2), H(M) and H(D), one block
+    per degree, placed as the sequence's bases."""
+    c1, c2, cm, cd = (random_recombination([np.eye(k, dtype=complex) for k in hd.betti], rng)
+                      for hd in (pair.hd1, pair.hd2, pair.hdm, pair.hdd))
     bases = []
     for p, coords in enumerate(cm):
         a = c1[p] if p < len(c1) else np.eye(0)
         b = c2[p] if p < len(c2) else np.eye(0)
         space = np.zeros((len(a) + len(b),) * 2, dtype=complex)
         space[:len(a), :len(a)], space[len(a):, len(a):] = a, b
-        bases += [coords, space, None]
+        bases += [coords, space, cd[p] if p < len(cd) else np.eye(0)]
     return bases
+
+
+def split_in_bases(seq, bases):
+    """Torsion of the sequence rewritten in the assigned bases, split anew.
+
+    Space q takes the basis whose coordinates are R_q = ``bases[q]`` (the
+    identity where None), so the maps become R_{q-1}^-1 d_q R_q.  The new
+    complex is checked and split with the default orthonormal image
+    bases, not the named boundary vectors that ``mv_sequence`` splits with.
+    """
+    dense = [np.eye(n, dtype=complex) if b is None else b for n, b in zip(seq.dims, bases)]
+    maps = [np.linalg.solve(dense[q - 1], seq.boundary(q) @ dense[q])
+            for q in range(1, len(seq.dims))]
+    rewritten = TwistedChainComplex(1, seq.dims, maps)
+    return torsion_of(rewritten, verify_exactness(rewritten))
 
 
 def test_corrective_value_independent_of_split_basis(rng):
     # the named boundary vectors change the per-degree determinants but
     # not their alternating product, which must match the default
-    # orthonormal-image splitting in canonical, random and transported bases
+    # orthonormal-image splitting in canonical, random and transported
+    # bases, there taken of the sequence rewritten in those bases
     for m1, r1, m2, r2 in gluing_models(rng):
         pair = analyze_disk_sum(m1, r1, m2, r2)
         seq = mv_sequence(pair)
         drawn = drawn_bases(pair, rng)
         transported = transported_dense_bases(seq, transport_bases(seq))
-        split = build_splitting(seq, homology(seq))
         for bases in (None, drawn, transported):
-            reference = identity_bases(seq) if bases is None else bases
-            expected = torsion(seq, split, reference_bases=reference).value
+            expected = split_in_bases(seq, bases or identity_bases(seq)).value
             assert corrective_term(seq, bases).value == pytest.approx(expected, rel=1e-9), (
                 m1.name, m2.name)
 
@@ -109,7 +128,7 @@ def test_transported_determinants_one_whenever_disk_injects():
 
 
 # ---------------------------------------------------------------------------
-# assigned bases as an argument: no identity solves, no changed bit
+# assigned bases as an argument: identities change no bit, nothing is solved
 # ---------------------------------------------------------------------------
 
 def bit_models():
@@ -145,20 +164,82 @@ def assert_same_bits(result, reference, where):
 
 
 def test_assigned_bases_as_an_argument_change_no_bit():
-    # the former computation solved every space against a dense basis;
-    # np.linalg.solve(I, M) returns M bit for bit, so skipping the
-    # identities must leave every printed number as it was
+    # the corrective term in the canonical bases is the sequence's own
+    # torsion; an identity block multiplies by det I = 1 exactly, so dense
+    # identities and the bases rebuilt from what transport_bases records
+    # reproduce every printed number bit for bit
     for (m1, r1), (m2, r2) in itertools.product(bit_models(), repeat=2):
         where = (m1.name, m2.name)
         seq = mv_sequence(analyze_disk_sum(m1, r1, m2, r2))
-        assert_same_bits(corrective_term(seq),
-                         torsion(seq, seq.split, reference_bases=identity_bases(seq)), where)
+        for bases in (None, identity_bases(seq)):
+            assert_same_bits(corrective_term(seq, bases), seq.canonical, where)
         transported = transport_bases(seq)
         dense = transported_dense_bases(seq, transported)
         rescaled = [b if q % 3 == 1 and seq.dims[q] else None for q, b in enumerate(dense)]
-        for reference in (dense, rescaled):
-            assert_same_bits(transported.corrective,
-                             torsion(seq, seq.split, reference_bases=reference), where)
+        for bases in (dense, rescaled):
+            assert_same_bits(transported.corrective, corrective_term(seq, bases), where)
+
+
+def covariance_models():
+    """Point, circle, generic wedge_2, torus and bouquet."""
+    rng = np.random.default_rng(41)
+    return [
+        (point(), Representation.trivial(0)),
+        (circle(), diag_rep(2.0)),
+        (wedge_of_circles(2), Representation.from_images([random_sl2(rng),
+                                                          random_sl2(rng)])),
+        (torus(), diag_rep(2.0, 3.0)),
+        (bouquet(), diag_rep(2.5)),
+    ]
+
+
+COVARIANCE_MODELS = covariance_models()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_rebased_torsions_equal_a_split_in_the_new_bases(first, second, seed):
+    # the per-draw re-split that verify_mv_identity no longer takes: each
+    # complex split in its canonical homology basis times random
+    # coordinates, and the sequence rewritten in random assigned bases
+    (m1, r1), (m2, r2) = COVARIANCE_MODELS[first], COVARIANCE_MODELS[second]
+    pair = analyze_disk_sum(m1, r1, m2, r2)
+    rng = np.random.default_rng(seed)
+    for tc, hd in ((pair.tc1, pair.hd1), (pair.tc2, pair.hd2),
+                   (pair.tcm, pair.hdm), (pair.tcd, pair.hdd)):
+        coords = random_recombination([np.eye(k, dtype=complex) for k in hd.betti], rng)
+        rebased_torsion = rebased(torsion_of(tc, hd), coords, 1)
+        split = torsion_of(tc, hd, [h @ c for h, c in zip(hd.h_basis, coords)])
+        assert rebased_torsion.value == pytest.approx(split.value, rel=1e-9)
+        assert rebased_torsion.per_degree_determinants == pytest.approx(
+            split.per_degree_determinants, rel=1e-9)
+    seq = mv_sequence(pair)
+    bases = drawn_bases(pair, rng)
+    assert corrective_term(seq, bases).value == pytest.approx(
+        split_in_bases(seq, bases).value, rel=1e-9)
+
+
+@pytest.mark.parametrize("space", [0, 2, 3])
+@pytest.mark.parametrize("entry", [0.0, np.nan])
+def test_singular_coordinates_are_an_input_error(space, entry):
+    # space 0 is H_0(M), 2 is H_0(D) and 3 is H_1(M), none assigned by transport
+    seq = mv_sequence(analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0)))
+    bases = [None] * len(seq.dims)
+    bases[space] = np.eye(seq.dims[space], dtype=complex)
+    bases[space][:, 0] = entry
+    for call in (corrective_term, transport_bases):
+        with pytest.raises(SplittingError, match=f"degree {space}: singular change of basis"):
+            call(seq, bases)
+
+
+def test_misshapen_coordinates_are_an_input_error():
+    seq = mv_sequence(analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0)))
+    assert seq.dims[3] == 4
+    bases = [None] * len(seq.dims)
+    bases[3] = np.eye(3, dtype=complex)
+    for call in (corrective_term, transport_bases):
+        with pytest.raises(DimensionMismatchError, match=r"space 3: \(3, 3\) coordinates"):
+            call(seq, bases)
 
 
 @pytest.fixture
@@ -176,26 +257,34 @@ def solve_calls(monkeypatch):
 
 
 def test_verify_mv_identity_builds_one_sequence(solve_calls, monkeypatch):
-    built = []
-    build = glue.mv_sequence
+    built, splits = [], []
+    build, split = glue.mv_sequence, torsion.build_splitting
 
     def counting(*args, **kwargs):
         built.append(build(*args, **kwargs))
         return built[-1]
 
+    def splitting(*args, **kwargs):
+        splits.append(None)
+        return split(*args, **kwargs)
+
     monkeypatch.setattr(glue, "mv_sequence", counting)
+    monkeypatch.setattr(glue, "build_splitting", splitting)
+    monkeypatch.setattr(torsion, "build_splitting", splitting)
     models = bit_models()
     for (m1, r1), (m2, r2) in ((models[0], models[0]), (models[2], models[4]),
                                (models[6], models[8])):
         pair = analyze_disk_sum(m1, r1, m2, r2)
         for draws in (1, 10):
             built.clear()
-            solve_calls.clear()
+            splits.clear()
             report = verify_mv_identity(pair, draws=draws, seed=1)
             assert report.passed, (m1.name, m2.name)
             assert len(built) == 1
-            # one solve per nonzero space per draw, in the corrective term
-            assert len(solve_calls) <= draws * sum(1 for n in built[0].dims if n)
+            # the four complexes and the sequence, each split once; every
+            # draw enters by the determinants of its coordinates
+            assert len(splits) == 5
+            assert solve_calls == []
 
 
 # the factors of the benchmark's chain workload, in its order
@@ -203,7 +292,7 @@ CHAIN = (circle(), wedge_of_circles(2), torus(), wedge_of_circles(3),
          circle(), torus(), bouquet(), wedge_of_circles(2))
 
 
-def test_chain_solves_only_in_the_rescaled_spaces(solve_calls, monkeypatch):
+def test_chain_solves_nothing(solve_calls, monkeypatch):
     built, transported, lstsq_calls = [], [], []
     build, transport, lstsq = glue.mv_sequence, glue.transport_bases, np.linalg.lstsq
 
@@ -232,14 +321,10 @@ def test_chain_solves_only_in_the_rescaled_spaces(solve_calls, monkeypatch):
         reps.append(diag_rep(*lams))
     report = verify_multiplicativity(list(CHAIN), reps)
     assert report.passed
-    # each of the two corrective terms of a step solves once per nonzero
-    # direct-sum space, and below the top step, where H(M) carries the
-    # left factor's transported coordinates, once per nonzero M space
+    # the rescaled spaces and the carried coordinates of H(M) enter every
+    # corrective term and factor torsion by their determinants
     assert len(built) == len(CHAIN) - 1
-    expected = sum(2 * sum(1 for q, n in enumerate(seq.dims)
-                           if n and (q % 3 == 1 or (q % 3 == 0 and step)))
-                   for step, seq in enumerate(built))
-    assert len(solve_calls) == expected <= 80
+    assert solve_calls == []
     # sections come from the SVDs of homology and class coordinates are
     # projections, so nothing is solved in the least-squares sense
     assert lstsq_calls == []
