@@ -67,6 +67,7 @@ from .torsion import (
     TorsionResult,
     build_splitting,
     rebased,
+    rescaled,
     torsion_independence_check,
     torsion_of,
 )

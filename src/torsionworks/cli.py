@@ -18,6 +18,7 @@ across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -233,7 +234,11 @@ def cmd_verify_theorem1(args) -> int:
     return EXIT_OK if report_obj.passed else EXIT_INPUT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state on it.
+    Each subcommand's ``func`` is the name of its ``cmd_*`` function, which
+    ``main`` looks up on each call, so a later rebinding of it is seen."""
     parser = argparse.ArgumentParser(
         prog="torsionworks",
         description="Adjoint Reidemeister torsion of CW complexes and disk sums",
@@ -255,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="canonical",
                    help="homology bases: computed representatives or the scene's")
     common(p)
-    p.set_defaults(func=cmd_torsion)
+    p.set_defaults(func="cmd_torsion")
 
     p = sub.add_parser("verify-mv",
                        help="gluing identity with corrective term on random bases")
@@ -264,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-bases", type=int, default=10, metavar="N",
                    help="number of random basis draws (default 10)")
     common(p)
-    p.set_defaults(func=cmd_verify_mv)
+    p.set_defaults(func="cmd_verify_mv")
 
     p = sub.add_parser("verify-theorem1",
                        help="multiplicativity over a list of disk-sum factors")
@@ -275,20 +280,48 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scene file providing h_bases when --h-from file")
     common(p, seed_help="recorded in the report only; this command draws "
                         "nothing at random (default 0)")
-    p.set_defaults(func=cmd_verify_theorem1)
+    p.set_defaults(func="cmd_verify_theorem1")
     return parser
 
 
+# flags whose value may be a negative float in exponent notation, such as
+# -1e-8, which argparse would otherwise read as an option
+FLOAT_FLAGS = ("--tol", "--pass-tol")
+
+
+def _names_float_flag(arg):
+    """Whether ``arg`` is a float flag or a prefix of one, which argparse
+    resolves to that flag when no other option shares the prefix."""
+    return len(arg) > 2 and "=" not in arg and any(f.startswith(arg) for f in FLOAT_FLAGS)
+
+
+def _attach_float_values(argv):
+    """``argv`` with ``FLAG VALUE`` written ``FLAG=VALUE`` for a float flag
+    followed by a number, so that a bad value gets the flag's own message."""
+    out = []
+    for arg in argv:
+        if out and _names_float_flag(out[-1]) and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_attach_float_values(argv))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     start = time.perf_counter()
     try:
         _check_flags(args)
-        code = args.func(args)
+        code = globals()[args.func](args)
     except RankAmbiguityError as exc:
         sys.stderr.write(f"rank ambiguity: {exc}\n")
         return EXIT_RANK_AMBIGUITY

@@ -67,7 +67,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, DEFECT_TOL, PASS_TOL
 from .scenes import disk
-from .torsion import TorsionResult, build_splitting, rebased, torsion, torsion_of
+from .torsion import TorsionResult, build_splitting, rebased, rescaled, torsion, torsion_of
 
 # ---------------------------------------------------------------------------
 # disk sum of CW data
@@ -557,16 +557,19 @@ class MvIdentityReport:
         return self.max_residual <= self.tolerance
 
 
-def _sequence_bases(coords_m, coords_1, coords_2, coords_d):
-    """Every space's basis from per-degree coordinates in H(M), H(M1), H(M2)
-    and H(D), the factors' block-diagonally in each direct-sum space."""
+def _sequence_determinants(dets_m, dets_1, dets_2, dets_d):
+    """Every space's determinant from per-degree ones in H(M), H(M1), H(M2)
+    and H(D); a direct-sum space's is the product of its factors'."""
     out = []
-    for p, c in enumerate(coords_m):
-        a, b = (f[p] if p < len(f) else linalg.empty_matrix(0) for f in (coords_1, coords_2))
-        space = linalg.empty_matrix(len(a) + len(b), len(a) + len(b))
-        space[:len(a), :len(a)], space[len(a):, len(a):] = a, b
-        out += [c, space, coords_d[p] if p < len(coords_d) else None]
+    for p, d in enumerate(dets_m):
+        d1, d2 = (f[p] if p < len(f) else 1.0 for f in (dets_1, dets_2))
+        out += [d, d1 * d2, dets_d[p] if p < len(dets_d) else None]
     return out
+
+
+# draws evaluated per pass of verify_mv_identity, which bounds the size of
+# its (N, k, k) stacks of mixes
+DRAW_CHUNK = 256
 
 
 def verify_mv_identity(pair: GluedPair, draws: int = 10, seed: int = 0,
@@ -575,27 +578,40 @@ def verify_mv_identity(pair: GluedPair, draws: int = 10, seed: int = 0,
     """Check T(M1) T(M2) = T(M) T(D) T(sequence) on ``draws`` >= 1 random bases.
 
     The sequence and each complex's torsion are taken once, in canonical
-    bases.  Each draw takes random coordinates per degree of M1, M2, M
-    and D, in that order (``linalg.random_recombination`` of identity
-    blocks), which enter by covariance: each torsion is ``rebased`` by
-    them, and the corrective term takes them as they are.
+    bases.  Each draw takes a random mix (``linalg.random_mixes``) per
+    nonzero degree of M1, M2, M and D, in the rng order draw by draw, then
+    M1, M2, M and D, then degree by degree, so a seed gives the same draws
+    for any DRAW_CHUNK.  A pass takes DRAW_CHUNK draws as (N, k, k) stacks
+    and one stacked determinant per stack; the draws enter by those
+    determinants alone.  Each torsion is ``rescaled`` by its own, and the
+    corrective term is ``seq.canonical`` rescaled by them as
+    ``corrective_term`` would be by the mixes, a direct-sum space's
+    determinant being the product of its factors'.
+
+    In exact arithmetic a draw's residual is the canonical one, since the
+    det(C_1) det(C_2) factors cancel on both sides.  What the draws check
+    is that the homology exponents and the reference exponents of
+    ``rescaled`` agree in floating point.
     """
     if draws < 1:
         raise TorsionworksError(f"verify_mv_identity needs at least one draw, got {draws}")
     rng = np.random.default_rng(seed)
     seq = mv_sequence(pair, tol=tol)
-    factored = ((pair.tc1, pair.hd1), (pair.tc2, pair.hd2),
-                (pair.tcm, pair.hdm), (pair.tcd, pair.hdd))
-    canonical = [torsion_of(tc, hd, tol=tol) for tc, hd in factored]
-    residuals = []
-    for _ in range(draws):
-        mixes = [linalg.random_recombination([np.eye(k, dtype=complex) for k in hd.betti], rng)
-                 for _, hd in factored]
-        t1, t2, tm, td = (rebased(t, coords, 1).value for t, coords in zip(canonical, mixes))
-        c1, c2, cm, cd = mixes
-        th = corrective_term(seq, _sequence_bases(cm, c1, c2, cd)).value
+    hds = (pair.hd1, pair.hd2, pair.hdm, pair.hdd)
+    canonical = [torsion_of(tc, hd, tol=tol) for tc, hd in
+                 zip((pair.tc1, pair.tc2, pair.tcm, pair.tcd), hds)]
+    sizes = [k for hd in hds for k in hd.betti]
+    residuals: list[float] = []
+    for start in range(0, draws, DRAW_CHUNK):
+        n = min(DRAW_CHUNK, draws - start)
+        # a 0 x 0 stack's determinants are ones, so every value is a length-n array
+        stacked = iter(np.linalg.det(mixes) for mixes in linalg.random_mixes(sizes, n, rng))
+        d1, d2, dm, dd = [[next(stacked) for _ in hd.betti] for hd in hds]
+        t1, t2, tm, td = (rescaled(t, d, 1).value
+                          for t, d in zip(canonical, (d1, d2, dm, dd)))
+        th = rescaled(seq.canonical, _sequence_determinants(dm, d1, d2, dd), -1).value
         lhs = t1 * t2
-        residuals.append(abs(lhs - tm * td * th) / abs(lhs))
+        residuals += (np.abs(lhs - tm * td * th) / np.abs(lhs)).tolist()
     n0 = (pair.hd1.betti[0], pair.hd2.betti[0], pair.hdm.betti[0], pair.hdd.betti[0])
     return MvIdentityReport(dims=seq.dims, draws=draws, residuals=residuals,
                             dimension_tail=n0, tolerance=pass_tol, seed=seed)

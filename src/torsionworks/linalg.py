@@ -154,22 +154,36 @@ def nonzero_composition(maps, tol):
     return None
 
 
-def random_recombination(blocks, rng):
-    """Each column block times a random square matrix normal + 1j normal + 3I.
+def random_mixes(sizes, n, rng):
+    """``n`` draws of a random k x k matrix normal + 1j normal + 3I for each
+    k in ``sizes``, as one (n, k, k) stack per size.
 
-    The shift by 3I keeps the recombination well conditioned.  Empty
-    blocks are kept as they are and draw nothing from ``rng``.
+    The shift by 3I keeps each mix well conditioned.  The normals come
+    from one call to ``rng``, in the order of drawing each mix's real
+    parts, then its imaginary parts, size by size within a draw and draw
+    by draw; so n = 1 and a single size is one mix, and the stacks are,
+    bit for bit, what that many single draws give in that order.  A size
+    0 draws nothing.
     """
-    out = []
-    for block in blocks:
-        k = block.shape[1]
-        if k == 0:
-            out.append(block)
-            continue
-        mix = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    widths = [2 * k * k for k in sizes]
+    normals = rng.standard_normal((n, sum(widths)))
+    stacks, start = [], 0
+    for k, width in zip(sizes, widths):
+        parts = normals[:, start:start + width].reshape(n, 2, k, k)
+        mix = parts[:, 0] + 1j * parts[:, 1]
         mix += 3.0 * np.eye(k)
-        out.append(block @ mix)
-    return out
+        stacks.append(mix)
+        start += width
+    return stacks
+
+
+def random_recombination(blocks, rng):
+    """Each column block times its own random mix (``random_mixes``).
+
+    Empty blocks are kept as they are and draw nothing from ``rng``.
+    """
+    return [block @ random_mixes([block.shape[1]], 1, rng)[0][0] if block.shape[1] else block
+            for block in blocks]
 
 
 def svd_rank(sv, tol, check_ambiguity=False):

@@ -13,12 +13,13 @@ Equivalently, with D_p the determinant of the inverse transition
 ``per_degree_determinants`` records), T = prod_p D_p^{(-1)^(p+1)}.
 The value does not depend on the choice of boundary bases or sections,
 and a change of basis multiplies it by a determinant (Milnor, *Whitehead
-torsion*, section 3), which ``rebased`` applies; empty degrees contribute
+torsion*, section 3), which ``rescaled`` applies; empty degrees contribute
 the empty-product value 1.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,11 +148,13 @@ class TorsionResult:
     ``boundary_bases`` (``mv_sequence`` passes the split basis that
     ``transport_bases`` normalizes).
     Each determinant depends on that choice of b_p; the value, their
-    alternating product with exponent (-1)^(p+1), does not.
+    alternating product with exponent (-1)^(p+1), does not.  After
+    ``rescaled`` by length-N arrays of determinants, the value and those
+    degrees' determinants are length-N arrays.
     """
 
-    value: complex
-    per_degree_determinants: list[complex]
+    value: complex | np.ndarray
+    per_degree_determinants: list[complex | np.ndarray]
 
 
 def torsion(tc, split: HomologySplitting) -> TorsionResult:
@@ -171,24 +174,47 @@ def torsion(tc, split: HomologySplitting) -> TorsionResult:
     return TorsionResult(value=value, per_degree_determinants=dets)
 
 
+def rescaled(result: TorsionResult, dets, sign: int) -> TorsionResult:
+    """``result`` after changes of basis whose determinants are ``dets``.
+
+    ``dets[p]`` is det(C_p) for a change of basis C_p in degree p, None
+    for the identity.  A homology basis change h_p -> h_p C_p (``sign`` 1)
+    multiplies the value by det(C_p)^((-1)^p), a reference basis change
+    (``sign`` -1) by det(C_p)^((-1)^(p+1)), and D_p by det(C_p)^(-sign).
+    An entry may be a length-N array, the determinants of N changes of
+    basis evaluated at once: the value and D_p then become length-N
+    arrays.  A zero or non-finite determinant raises SplittingError.
+    """
+    value, out = result.value, list(result.per_degree_determinants)
+    for p, det in enumerate(dets):
+        if det is None:
+            continue
+        # one change of basis gives a complex, N of them an array
+        if not (det != 0 and cmath.isfinite(det) if isinstance(det, complex)
+                else (np.isfinite(det) & (det != 0)).all()):
+            bad = np.ravel(det)[np.flatnonzero(~np.isfinite(det) | (det == 0))[0]]
+            raise SplittingError(
+                f"degree {p}: singular change of basis (determinant {complex(bad)})")
+        value = value * det ** (sign * (-1) ** p)
+        out[p] = out[p] * det ** -sign
+    return TorsionResult(value=value, per_degree_determinants=out)
+
+
 def rebased(result: TorsionResult, coords, sign: int) -> TorsionResult:
     """``result`` in the bases whose coordinates in the old ones are ``coords``.
 
-    A homology basis change h_p -> h_p C_p (``sign`` 1) multiplies the
-    value by det(C_p)^((-1)^p), a reference basis change (``sign`` -1) by
-    det(C_p)^((-1)^(p+1)), and D_p by det(C_p)^(-sign).  None and empty
-    entries are the identity; a singular or non-finite C_p raises SplittingError.
+    ``rescaled`` by det(C_p) for each coordinate matrix C_p.  None and
+    empty entries are the identity; a singular or non-finite C_p raises
+    SplittingError.
     """
-    value, dets = result.value, list(result.per_degree_determinants)
-    for p, c in enumerate(coords or ()):
+    dets = []
+    for c in coords or ():
         if c is None or not np.size(c):
-            continue
-        det = complex(np.linalg.det(c)) if np.isfinite(c).all() else complex(np.nan)
-        if det == 0 or not np.isfinite(det):
-            raise SplittingError(f"degree {p}: singular change of basis (determinant {det})")
-        value *= det ** (sign * (-1) ** p)
-        dets[p] *= det ** -sign
-    return TorsionResult(value=value, per_degree_determinants=dets)
+            dets.append(None)
+        else:
+            # a matrix with a non-finite entry can still have a finite LU determinant
+            dets.append(complex(np.linalg.det(c)) if np.isfinite(c).all() else complex(np.nan))
+    return rescaled(result, dets, sign)
 
 
 def torsion_of(tc, hd, h_bases=None, tol: float = DEFAULT_TOL) -> TorsionResult:

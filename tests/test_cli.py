@@ -256,6 +256,42 @@ def test_tolerance_flags_must_be_positive_finite(scene_dir, capsys, flag, value)
         assert err == f"error: {flag} must be a positive finite number, got {float(value):g}\n"
 
 
+@pytest.mark.parametrize("given, flag, value", [
+    ("--tol", "--tol", "-1e-8"), ("--pass-tol", "--pass-tol", "-1e-6"),
+    ("--tol", "--tol", "-inf"), ("--pass-tol", "--pass-tol", "-2"),
+    ("--pass", "--pass-tol", "-1e-6"), ("--to", "--tol", "-1e-8")])
+def test_negative_tolerance_after_a_space_gets_the_flag_message(scene_dir, capsys,
+                                                                given, flag, value):
+    # argparse reads a lone -1e-8 as an option unless it is attached to its
+    # flag, or to a prefix that argparse resolves to the flag
+    wedge = scene_dir["wedge2"]
+    for argv in (["torsion", wedge], ["verify-mv", wedge, wedge],
+                 ["verify-theorem1", wedge, wedge]):
+        code, out, err = run_cli(capsys, *argv, given, value, "--json")
+        assert code == 1, argv
+        assert out == ""
+        assert err == f"error: {flag} must be a positive finite number, got {float(value):g}\n"
+
+
+def test_float_flag_without_a_value_is_a_usage_error(scene_dir, capsys):
+    code, out, err = run_cli(capsys, "torsion", scene_dir["wedge2"], "--tol", "--json")
+    assert code == 1
+    assert out == ""
+    assert "argument --tol: expected one argument" in err
+
+
+def test_parser_built_once_calls_the_command_bound_now(scene_dir, capsys, monkeypatch):
+    from torsionworks import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    run_cli(capsys, "torsion", scene_dir["wedge2"])
+    calls = []
+    monkeypatch.setattr(cli, "cmd_torsion", lambda args: calls.append(args.scene) or 0)
+    code, _, _ = run_cli(capsys, "torsion", scene_dir["wedge2"])
+    assert code == 0
+    assert calls == [scene_dir["wedge2"]]
+
+
 @pytest.mark.parametrize("value", ["0", "-1e-8", "inf", "nan"])
 def test_tolerance_env_must_be_positive_finite(scene_dir, capsys, monkeypatch, value):
     monkeypatch.setenv("TORSIONWORKS_TOL", value)
@@ -500,7 +536,7 @@ def test_report_matrix_exit_codes(monkeypatch):
     monkeypatch.chdir(root)
     scenes = sorted(f"scenes/{p.name}" for p in (root / "scenes").glob("*.json"))
     outcomes = [(argv, *report_matrix.run(argv)) for argv in report_matrix.commands(scenes)]
-    assert len(outcomes) == 148
+    assert len(outcomes) == 164
     file_mode = [o for o in outcomes if "--h-basis-mode" in o[0]]
     assert len(file_mode) == 4
     for argv, code, _, err in file_mode:

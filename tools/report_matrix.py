@@ -1,11 +1,12 @@
 """Print every CLI report on the sample scenes, for byte-identity checks.
 
 Runs ``torsionworks.cli.main`` in-process on a fixed matrix of commands
-over ``scenes/`` (four scenes give 148 commands):
+over ``scenes/`` (four scenes give 164 commands):
 
 * per scene: ``torsion`` in canonical mode, in file mode and with ``--json``;
-* per ordered pair: ``verify-mv``, ``verify-mv --json --seed 3`` and
-  ``verify-theorem1``;
+* per ordered pair: ``verify-mv``, ``verify-mv --json --seed 3``,
+  ``verify-mv --json --random-bases 300 --seed 5`` (more draws than
+  ``glue.DRAW_CHUNK``) and ``verify-theorem1``;
 * per ordered triple: ``verify-theorem1 --json``;
 * per ordering of all the scenes: ``verify-theorem1 --json``, a chain
   whose glued partial sums are each reused as the next left factor.
@@ -47,6 +48,7 @@ def commands(scenes):
     for a, b in itertools.product(scenes, repeat=2):
         yield ["verify-mv", a, b]
         yield ["verify-mv", a, b, "--json", "--seed", "3"]
+        yield ["verify-mv", a, b, "--json", "--random-bases", "300", "--seed", "5"]
         yield ["verify-theorem1", a, b]
     for triple in itertools.product(scenes, repeat=3):
         yield ["verify-theorem1", *triple, "--json"]
