@@ -30,6 +30,12 @@ Stability of Numerical Algorithms*, 3.5), far inside that margin, so
 for any rank cutoff ``tol <= GRAM_TOL_LIMIT`` the SVD would also find
 full rank.  The certificate only ever accepts; where it cannot decide,
 a NaN included, the SVD decides, so every answer is the SVD's.
+``build_splitting`` certifies each split basis [b_p | h_p | s_p] once.
+With its default bases, [B_p | h_p] is that matrix's leading block: its
+Gram matrix is a principal block of the whole one, so ||G_sub - I||_F <=
+||G - I||_F, and its singular values interlace the whole one's, so
+whenever the whole is accepted, the block is too.  The torsion's
+determinant is then taken of the matrix that was certified.
 """
 
 import numpy as np
@@ -141,16 +147,23 @@ def nonzero_composition(maps, tol):
     the Frobenius norm of ``maps[p - 1] @ maps[p]`` for the first product
     whose norm is not within ``tol * (1 + |a| |b|)``, in largest column
     norms, or None when every product vanishes.  A NaN norm does not.
-    A product with an empty factor is zero and is not formed.
+    A product with an empty factor is zero and is not formed.  Each map's
+    largest column norm is taken once, and a middle map's serves both of
+    its junctions.
     """
+    norm_a = None  # the largest column norm of maps[p - 1], once taken
     for p in range(1, len(maps)):
         a, b = maps[p - 1], maps[p]
         if not (a.size and b.size):
+            norm_a = None
             continue
         resid = frobenius_norm(a @ b)
-        scale = 1.0 + max_column_norm(a) * max_column_norm(b)
-        if not resid <= tol * scale:
+        if norm_a is None:
+            norm_a = max_column_norm(a)
+        norm_b = max_column_norm(b)
+        if not resid <= tol * (1.0 + norm_a * norm_b):
             return p, resid
+        norm_a = norm_b
     return None
 
 

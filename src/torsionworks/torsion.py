@@ -14,7 +14,8 @@ Equivalently, with D_p the determinant of the inverse transition
 The value does not depend on the choice of boundary bases or sections,
 and a change of basis multiplies it by a determinant (Milnor, *Whitehead
 torsion*, section 3), which ``rescaled`` applies; empty degrees contribute
-the empty-product value 1.
+the empty-product value 1.  ``build_splitting`` certifies each M_p once
+and keeps it, and ``torsion`` takes its determinant of that same matrix.
 """
 
 from __future__ import annotations
@@ -42,11 +43,22 @@ def _as_columns(dims_p, block) -> np.ndarray:
 
 @dataclass
 class HomologySplitting:
-    """Per-degree split data: boundary bases, homology lifts, sections."""
+    """Per-degree split data: boundary bases, homology lifts, sections, and
+    the square split bases [b_p | h_p | s_p] that ``build_splitting``
+    certified, from which ``torsion`` takes its determinants."""
 
     b: list[np.ndarray]
     h: list[np.ndarray]
     s: list[np.ndarray]
+    matrices: list[np.ndarray]
+
+
+def _dependent_classes(hd, h, p, tol):
+    """The error for classes ``h`` dependent modulo the image basis of
+    degree ``p``, or None when [B_p | h] has independent columns."""
+    if linalg.independent_columns(np.hstack([hd.boundary_basis[p], h]), tol):
+        return None
+    return BadHomologyBasisError(f"degree {p}: homology classes are dependent modulo boundaries")
 
 
 def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
@@ -63,14 +75,36 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
     choices can be exercised directly.  Sections come from ``hd.section``,
     so no boundary map is factored again.
 
-    Two checks need independence: the homology vectors with the boundary
-    basis of their degree, and each split basis [b_p | h_p | s_p].  Both
-    go through ``linalg.independent_columns``.  With the default bases
-    b_p and h_p are orthonormal and the sections' unit columns are too,
-    so a Gram product certifies each check; supplied or recombined bases
-    that are far from orthonormal, and any check that fails, take the
-    rank SVD.
+    Two conditions need independence: the homology classes modulo
+    boundaries, [B_p | h_p] with B_p the image basis ``hd.boundary_basis``,
+    and each split basis [b_p | h_p | s_p].  Each split basis is
+    certified once, by ``linalg.independent_columns``, and kept in
+    ``matrices``, whose determinants ``torsion`` takes.  Where h_p and
+    b_p are both ``hd``'s, [B_p | h_p] is the split basis's leading
+    block, which the same certificate or SVD accepts whenever it accepts
+    the whole (``linalg``), so it is checked on its own only when a later
+    check fails, in degree order and before that failure is raised: every
+    error is the one that checking it first gives.  Supplied homology
+    vectors or boundary bases have [B_p | h_p] checked first.  With the
+    default bases the columns are near orthonormal and a Gram product
+    certifies each check; supplied or recombined bases far from
+    orthonormal, and any check that fails, take the rank SVD.
     """
+    deferred = []
+    try:
+        return _certified_split(tc, hd, h_bases, tol, boundary_bases, section_cycles,
+                                deferred)
+    except (BadHomologyBasisError, SplittingError):
+        for p in deferred:
+            error = _dependent_classes(hd, hd.h_basis[p], p, tol)
+            if error is not None:
+                raise error from None
+        raise
+
+
+def _certified_split(tc, hd, h_bases, tol, boundary_bases, section_cycles, deferred):
+    """``build_splitting``'s checks and assembly; appends to ``deferred``
+    each degree whose [B_p | h_p] check its split basis's check covers."""
     n = len(tc.dims) - 1
     for p in range(n + 1, 0 if h_bases is None else len(h_bases)):
         if h_bases[p] is not None and np.asarray(h_bases[p]).size:
@@ -91,10 +125,12 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
                 raise BadHomologyBasisError(
                     f"degree {p}: supplied vectors are not cycles (defect {cycle_defect:.3e})"
                 )
-            if not linalg.independent_columns(np.hstack([hd.boundary_basis[p], h]), tol):
-                raise BadHomologyBasisError(
-                    f"degree {p}: homology classes are dependent modulo boundaries"
-                )
+            if block is None and boundary_bases is None:
+                deferred.append(p)
+            else:
+                error = _dependent_classes(hd, h, p, tol)
+                if error is not None:
+                    raise error
         hs.append(h)
 
     ss = [linalg.empty_matrix(tc.dims[0])]
@@ -115,7 +151,7 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
                 pre = pre + shift
         ss.append(pre)
 
-    split = HomologySplitting(bs, hs, ss)
+    split = HomologySplitting(bs, hs, ss, [])
     for p in range(n + 1):
         m = assembled_matrix(tc, split, p)
         if m.shape[0] != m.shape[1]:
@@ -125,6 +161,7 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
             )
         if m.shape[0] and not linalg.independent_columns(m, tol):
             raise SplittingError(f"degree {p}: split basis is singular")
+        split.matrices.append(m)
     return split
 
 
@@ -159,14 +196,18 @@ class TorsionResult:
 
 def torsion(tc, split: HomologySplitting) -> TorsionResult:
     """Alternating product of transition determinants for a split complex,
-    against the standard coordinate basis of each chain group."""
+    against the standard coordinate basis of each chain group.
+
+    Each determinant is taken of ``split.matrices[p]``, the split basis
+    that ``build_splitting`` certified; nothing is assembled again.
+    """
     value = complex(1.0)
     dets = []
     for p, dim in enumerate(tc.dims):
         if dim == 0:
             dets.append(complex(1.0))
             continue
-        det = complex(np.linalg.det(assembled_matrix(tc, split, p)))
+        det = complex(np.linalg.det(split.matrices[p]))
         if det == 0 or not np.isfinite(det):
             raise SplittingError(f"degree {p}: singular transition matrix")
         dets.append(1.0 / det)

@@ -432,3 +432,38 @@ def test_near_orthonormal_columns_take_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     assert linalg.independent_columns(m, linalg.GRAM_TOL_LIMIT)
     assert linalg.independent_columns(m[:, :0], linalg.DEFAULT_TOL)
+
+
+def composition_taking_each_norm_per_junction(maps, tol):
+    """``nonzero_composition`` with both norms taken at every junction."""
+    for p in range(1, len(maps)):
+        a, b = maps[p - 1], maps[p]
+        if not (a.size and b.size):
+            continue
+        resid = linalg.frobenius_norm(a @ b)
+        if not resid <= tol * (1.0 + linalg.max_column_norm(a) * linalg.max_column_norm(b)):
+            return p, resid
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes=st.lists(st.integers(0, 3), min_size=2, max_size=6),
+       scales=st.lists(st.sampled_from([0.0, 1e-9, 1.0, 1e9]), min_size=5, max_size=5),
+       seed=st.integers(0, 2**16))
+def test_composition_takes_each_norm_once_and_decides_as_before(shapes, scales, seed):
+    # maps between spaces of the drawn sizes, scaled so that some junctions
+    # fail, with zero maps mixed in so that some vanish
+    rng = np.random.default_rng(seed)
+    maps = []
+    for p, (rows, cols) in enumerate(zip(shapes, shapes[1:])):
+        m = rng.normal(size=(rows, cols)) * scales[p % len(scales)]
+        if p % 2 and maps and maps[-1].shape[1] == rows == cols:
+            m = np.zeros((rows, cols))
+        maps.append(m.astype(complex))
+    expected = composition_taking_each_norm_per_junction(maps, linalg.DEFECT_TOL)
+    normed = []
+    norm = linalg.max_column_norm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "max_column_norm", lambda a: normed.append(id(a)) or norm(a))
+        assert linalg.nonzero_composition(maps, linalg.DEFECT_TOL) == expected
+    assert len(normed) == len(set(normed))
