@@ -35,8 +35,9 @@ class HomologyError(TorsionworksError):
 
 
 class BadHomologyBasisError(TorsionworksError):
-    """Supplied homology basis vectors are not cycles, or their classes
-    are dependent modulo boundaries, or the count is wrong."""
+    """Homology basis vectors, supplied or chosen by ``homology``, are not
+    cycles, or their classes are dependent modulo boundaries, or the
+    count is wrong."""
 
 
 class SplittingError(TorsionworksError):

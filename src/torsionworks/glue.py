@@ -24,9 +24,11 @@ complex used here, of 3(n + 1) spaces for M of dimension n:
 ``MvSequence`` is that sequence as a chain complex with d = 1 and its
 torsion, built and split once per pair in canonical homology bases.  Its
 torsion in any other bases, passed to ``corrective_term`` as coordinates
-in the canonical ones, is the corrective term; in the bases
-``transport_bases`` assigns it equals 1 exactly, which reduces the
-gluing formula
+in the canonical ones, is the corrective term.  A basis enters it only
+through its determinant, so ``transport_bases`` carries every basis as
+one: it cancels the corrective term with a single scalar, the
+determinant of the right factor's basis in its first degree with
+homology, which reduces the gluing formula
 
     T(M1) * T(M2) = T(M) * T(D) * (corrective term)
 
@@ -67,7 +69,15 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, DEFECT_TOL, PASS_TOL
 from .scenes import disk
-from .torsion import TorsionResult, build_splitting, rebased, rescaled, torsion, torsion_of
+from .torsion import (
+    TorsionResult,
+    build_splitting,
+    determinants,
+    rebased,
+    rescaled,
+    torsion,
+    torsion_of,
+)
 
 # ---------------------------------------------------------------------------
 # disk sum of CW data
@@ -279,7 +289,7 @@ def mv_sequence(pair: GluedPair, tol: float = DEFAULT_TOL) -> MvSequence:
     factors' coordinates back, which is exact above degree 0.  Alpha,
     (v, -v) on the shared 0-cell, has orthogonal columns of squared norm
     2, so the pull-back is alpha^H / 2.  Exactness is verified, and the
-    torsion that ``corrective_term`` and ``transport_bases`` rebase is
+    torsion that ``corrective_term`` and ``transport_bases`` rescale is
     taken at ``tol`` and stored in ``canonical``, before returning.
     """
     tc1, tc2, tcm = pair.tc1, pair.tc2, pair.tcm
@@ -377,9 +387,10 @@ def _split_boundary_bases(seq: TwistedChainComplex,
     clean it is replaced by the vectors the construction names: the
     disk-image vectors themselves when the disk inclusion injects, and
     the identity on H_p(M) when the gluing map onto it is surjective.
-    ``transport_bases`` and ``corrective_term`` both rebase the torsion
-    split with these bases, so the determinants one normalizes are the
-    ones the other reports.
+    The torsion does not depend on this choice, but its rounding does:
+    the named vectors keep it exact on clean pairs, where the SVD bases
+    leave an error in the last bits (``verify-theorem1`` on point # point
+    printed a ``factor_product`` of 0.9999999999999987 with them).
     """
     out = list(images)
     if seq.dims[2] and images[1].shape[1] == seq.dims[2]:
@@ -397,12 +408,11 @@ def corrective_term(seq: MvSequence, bases=None) -> TorsionResult:
     in the canonical one ``mv_sequence`` wrote it in, so it multiplies
     ``seq.canonical`` by det(bases[q])^((-1)^(q+1)); in a direct-sum space
     the factors' coordinates sit block-diagonally, the first factor's
-    first.  None, for ``bases`` or an entry, is the identity; an entry
-    not n x n for a space of dimension n raises DimensionMismatchError, a
-    singular one SplittingError.  The sequence is acyclic, so each space
-    splits as b_q + s_q(b_{q-1}), with the b_q of ``_split_boundary_bases``
-    that ``transport_bases`` normalizes.  The value does not depend on
-    that choice; the per-degree determinants do.
+    first.  None, for ``bases`` or an entry, and missing trailing entries
+    are the identity; more entries than spaces, or an entry not n x n for
+    a space of dimension n, raise DimensionMismatchError, a singular one
+    SplittingError.  The value does not depend on the split of each
+    space; the per-degree determinants do.
     """
     for q, (n, c) in enumerate(zip(seq.dims, bases or ())):
         if c is not None and np.shape(c) != (n, n):
@@ -418,82 +428,59 @@ def corrective_term(seq: MvSequence, bases=None) -> TorsionResult:
 class TransportedBases:
     """Factor homology bases for which the corrective term equals 1.
 
-    In each direct-sum space q = 3p+1 the canonical factor basis is
-    expressed in the split basis b_q | s_q(b_{q-1}) of
-    ``_split_boundary_bases`` through an invertible matrix A of
-    determinant ``det_a[p]``; the leading vector absorbs (det A)^{-1}.
-    ``residual`` is the corrective term left after that step, folded
-    into the leading vector of the first nonzero direct-sum space, so
+    A basis enters a torsion only through the determinant of its
+    coordinates in the canonical one, so each transported basis is that
+    determinant: ``dets_m1[p]`` and ``dets_m2[p]`` for the bases of
+    H_p(M1) and H_p(M2) in ``seq.h_factors[0][p]`` and ``[1][p]``, None
+    for the canonical basis itself.  ``residual`` is the corrective term
+    in the given bases of the M and D spaces and the canonical factor
+    bases; one entry carries the power of it that cancels it, so
     ``corrective``, the corrective term in the bases so assigned, is 1
-    for every exact sequence.  ``coords_m1[p]`` and ``coords_m2[p]``,
-    the factors' diagonal blocks of space 3p+1, are the coordinates of
-    the transported bases in ``seq.h_factors[0][p]`` and ``[1][p]``.
-
-    Each per-degree determinant of the corrective term depends on the
-    boundary bases b_q; only their alternating product is basis-free.
-    When the disk inclusion injects and the M and D spaces keep their
-    canonical bases, the residual and every per-degree determinant are
-    1; otherwise the leftover factor sits in that one leading vector.
+    for every exact sequence.
     """
 
-    coords_m1: list[np.ndarray]
-    coords_m2: list[np.ndarray]
-    det_a: list[complex]
+    dets_m1: list[complex | None]
+    dets_m2: list[complex | None]
     residual: complex
     corrective: TorsionResult
 
 
-def transport_bases(seq: MvSequence, bases=None) -> TransportedBases:
-    """Choose factor bases making the corrective term 1.
+def transport_bases(seq: MvSequence, dets=None) -> TransportedBases:
+    """Choose factor bases making the corrective term 1, one scalar per step.
 
-    ``bases`` assigns the M and D spaces as ``corrective_term`` takes
-    them; its direct-sum entries must be None, since they are assigned
-    here.  In each direct-sum space the canonical factor basis is
-    rewritten in the split basis [boundary basis | section of the
-    previous boundary basis] of ``seq.canonical``, and the determinant of
-    that rewrite, which it records, is pushed into the first factor
-    vector, a diagonal basis of the space.  A final rescale of one vector
-    cancels whatever the M and D spaces contribute;
-    ``TransportedBases`` says when every per-degree determinant is 1.
+    ``dets[q]`` is the determinant of the given basis of space q, as
+    ``rescaled`` takes it (``torsion.determinants`` turns coordinates into
+    these); missing trailing entries are the identity and the direct-sum
+    entries must be None, since they are assigned here.  The corrective
+    term kappa in those bases is cancelled in the first degree where M2
+    has homology, by a basis of H_p(M2) of determinant kappa^((-1)^(p+1)),
+    so the partial sum M1 keeps its canonical bases and no scale
+    compounds down a chain.  When M2 is acyclic, M1's first nonzero
+    degree takes it; with no homology in either factor, kappa must be 1.
     """
-    direct_sums = range(1, len(seq.dims), 3)
-    bases = [None] * len(seq.dims) if bases is None else list(bases)
-    # A is the inverse transpose of the split basis's columns
-    det_as = [seq.canonical.per_degree_determinants[q] for q in direct_sums]
-
-    for q, det_a in zip(direct_sums, det_as):
-        if bases[q] is not None:
+    dets = list(dets or ())
+    dets += [None] * (len(seq.dims) - len(dets))
+    for q in range(1, len(seq.dims), 3):
+        if dets[q] is not None:
             raise TransportError(f"space {q}: a direct-sum space takes no given basis")
-        if seq.dims[q]:
-            bases[q] = np.eye(seq.dims[q], dtype=complex)
-            bases[q][:, 0] /= det_a
+    residual = rescaled(seq.canonical, dets, -1).value
 
-    residual = corrective_term(seq, bases).value
-    slot = next((q for q in direct_sums if seq.dims[q]), None)
-    if slot is None:
+    dets_m1, dets_m2 = ([None] * len(h) for h in seq.h_factors)
+    for h, out in zip(reversed(seq.h_factors), (dets_m2, dets_m1)):
+        p = next((p for p, hp in enumerate(h) if hp.shape[1]), None)
+        if p is not None:
+            # a basis of determinant c in space 3p+1 multiplies the
+            # corrective term by c^((-1)^p)
+            out[p] = dets[3 * p + 1] = residual ** ((-1) ** (p + 1))
+            break
+    else:
         if not abs(residual - 1.0) <= PASS_TOL:
             raise TransportError(
                 f"corrective term {residual} cannot be normalized: "
                 "no nonzero direct-sum space"
             )
-    else:
-        # scaling column 0 of the basis at slot q multiplies the torsion
-        # of the sequence by kappa^((-1)^(q+1)); cancel the residual
-        bases[slot][:, 0] *= residual ** ((-1) ** slot)
-
-    def block(p, h, first):
-        """The diagonal block of space 3p+1 that the factor basis ``h`` spans."""
-        space, k = bases[3 * p + 1], h.shape[1]
-        rows = slice(0, k) if first else slice(seq.dims[3 * p + 1] - k, None)
-        return linalg.empty_matrix(0) if space is None else space[rows, rows]
-
-    return TransportedBases(
-        coords_m1=[block(p, h, True) for p, h in enumerate(seq.h_factors[0])],
-        coords_m2=[block(p, h, False) for p, h in enumerate(seq.h_factors[1])],
-        det_a=det_as,
-        residual=residual,
-        corrective=corrective_term(seq, bases),
-    )
+    return TransportedBases(dets_m1=dets_m1, dets_m2=dets_m2, residual=residual,
+                            corrective=rescaled(seq.canonical, dets, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +662,12 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     Each complex of the chain is twisted and factored once: each glued
     space is carried forward as the next step's left factor, and one
     disk serves every step.  Each sequence is built in canonical bases,
-    and the basis of H(M) travels down the chain as coordinates in the
-    canonical one: those of the classes of ``h_m`` at the top (None when
-    it is omitted), then the left factor's transported coordinates,
-    diagonal scalings, below.  Each torsion is taken once, in canonical
-    bases, and ``rebased`` by the transported coordinates: a step's
-    ``left_torsion`` is the ``total_torsion`` of the next step.
+    and the basis of H(M) travels down the chain as one determinant per
+    degree, of its coordinates in the canonical one: those of the
+    classes of ``h_m`` at the top (None when it is omitted), then the
+    left factor's transported ones below.  Each torsion is taken once,
+    in canonical bases, and ``rescaled`` by the transported determinants:
+    a step's ``left_torsion`` is the ``total_torsion`` of the next step.
     """
     if len(factors) < 2:
         raise DiskSumError("need at least two factors")
@@ -696,9 +683,9 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     top = pairs[-1]
     split = build_splitting(top.tcm, top.hdm, h_m, tol=tol)
     total_torsion = torsion(top.tcm, split).value
-    coords_m = [None if h_m is None else _class_coordinates(h, canonical, boundary)
-                for h, canonical, boundary in zip(split.h, top.hdm.h_basis,
-                                                  top.hdm.boundary_basis)]
+    dets_m = determinants([None if h_m is None else _class_coordinates(h, canonical, boundary)
+                           for h, canonical, boundary in zip(split.h, top.hdm.h_basis,
+                                                             top.hdm.boundary_basis)])
     t_disk = torsion_of(top.tcd, top.hdd, tol=tol).value
 
     steps: list[MultiplicativityStep] = []
@@ -706,11 +693,11 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     for k in range(len(factors) - 1, 0, -1):
         pair = pairs[k - 1]
         seq = mv_sequence(pair, tol=tol)
-        bases = [None] * len(seq.dims)
-        bases[0::3] = coords_m
-        transported = transport_bases(seq, bases)
-        t_left = rebased(torsion_of(pair.tc1, pair.hd1, tol=tol), transported.coords_m1, 1).value
-        t_right = rebased(torsion_of(pair.tc2, pair.hd2, tol=tol), transported.coords_m2, 1).value
+        dets = [None] * len(seq.dims)
+        dets[0::3] = dets_m
+        transported = transport_bases(seq, dets)
+        t_left = rescaled(torsion_of(pair.tc1, pair.hd1, tol=tol), transported.dets_m1, 1).value
+        t_right = rescaled(torsion_of(pair.tc2, pair.hd2, tol=tol), transported.dets_m2, 1).value
         steps.append(MultiplicativityStep(
             left_name=left_names[k - 1],
             right_name=factors[k].name,
@@ -720,7 +707,7 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
             right_torsion=t_right,
             disk_torsion=t_disk,
         ))
-        coords_m = transported.coords_m1
+        dets_m = transported.dets_m1
         t_total = t_left
     factor_torsions = [t_total] + [step.right_torsion for step in reversed(steps)]
 

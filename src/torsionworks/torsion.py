@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadHomologyBasisError, SplittingError
+from .errors import BadHomologyBasisError, DimensionMismatchError, SplittingError
 from .linalg import DEFAULT_TOL, DEFECT_TOL, PASS_TOL
 
 
@@ -123,7 +123,7 @@ def _certified_split(tc, hd, h_bases, tol, boundary_bases, section_cycles, defer
             cycle_defect = linalg.frobenius_norm(tc.boundary(p) @ h)
             if not cycle_defect <= tol * max(1.0, linalg.max_column_norm(h)):
                 raise BadHomologyBasisError(
-                    f"degree {p}: supplied vectors are not cycles (defect {cycle_defect:.3e})"
+                    f"degree {p}: homology vectors are not cycles (defect {cycle_defect:.3e})"
                 )
             if block is None and boundary_bases is None:
                 deferred.append(p)
@@ -182,8 +182,7 @@ class TorsionResult:
     reference basis in the split basis b_p | h_p | s_p(b_{p-1}) that
     ``build_splitting`` assembled: b_p is the orthonormal image basis
     that ``homology`` computed unless the caller passed
-    ``boundary_bases`` (``mv_sequence`` passes the split basis that
-    ``transport_bases`` normalizes).
+    ``boundary_bases`` (``mv_sequence`` passes named vectors).
     Each determinant depends on that choice of b_p; the value, their
     alternating product with exponent (-1)^(p+1), does not.  After
     ``rescaled`` by length-N arrays of determinants, the value and those
@@ -224,9 +223,14 @@ def rescaled(result: TorsionResult, dets, sign: int) -> TorsionResult:
     (``sign`` -1) by det(C_p)^((-1)^(p+1)), and D_p by det(C_p)^(-sign).
     An entry may be a length-N array, the determinants of N changes of
     basis evaluated at once: the value and D_p then become length-N
-    arrays.  A zero or non-finite determinant raises SplittingError.
+    arrays.  Missing trailing entries are the identity; more entries than
+    degrees raise DimensionMismatchError, a zero or non-finite determinant
+    SplittingError.
     """
     value, out = result.value, list(result.per_degree_determinants)
+    if len(dets) > len(out):
+        raise DimensionMismatchError(
+            f"{len(dets)} changes of basis for a complex of {len(out)} degrees")
     for p, det in enumerate(dets):
         if det is None:
             continue
@@ -241,12 +245,11 @@ def rescaled(result: TorsionResult, dets, sign: int) -> TorsionResult:
     return TorsionResult(value=value, per_degree_determinants=out)
 
 
-def rebased(result: TorsionResult, coords, sign: int) -> TorsionResult:
-    """``result`` in the bases whose coordinates in the old ones are ``coords``.
+def determinants(coords) -> list:
+    """det(C_p) of each coordinate matrix C_p, as ``rescaled`` takes them.
 
-    ``rescaled`` by det(C_p) for each coordinate matrix C_p.  None and
-    empty entries are the identity; a singular or non-finite C_p raises
-    SplittingError.
+    None and empty entries are the identity, None; a matrix with a
+    non-finite entry gets NaN, which ``rescaled`` rejects.
     """
     dets = []
     for c in coords or ():
@@ -255,7 +258,13 @@ def rebased(result: TorsionResult, coords, sign: int) -> TorsionResult:
         else:
             # a matrix with a non-finite entry can still have a finite LU determinant
             dets.append(complex(np.linalg.det(c)) if np.isfinite(c).all() else complex(np.nan))
-    return rescaled(result, dets, sign)
+    return dets
+
+
+def rebased(result: TorsionResult, coords, sign: int) -> TorsionResult:
+    """``result`` in the bases whose coordinates in the old ones are ``coords``:
+    ``rescaled`` by their ``determinants``."""
+    return rescaled(result, determinants(coords), sign)
 
 
 def torsion_of(tc, hd, h_bases=None, tol: float = DEFAULT_TOL) -> TorsionResult:

@@ -126,7 +126,7 @@ def split_checking_classes_first(tc, hd, h_bases=None, tol=linalg.DEFAULT_TOL,
             cycle_defect = linalg.frobenius_norm(tc.boundary(p) @ h)
             if not cycle_defect <= tol * max(1.0, linalg.max_column_norm(h)):
                 raise BadHomologyBasisError(
-                    f"degree {p}: supplied vectors are not cycles (defect {cycle_defect:.3e})")
+                    f"degree {p}: homology vectors are not cycles (defect {cycle_defect:.3e})")
             if not linalg.independent_columns(np.hstack([hd.boundary_basis[p], h]), tol):
                 raise BadHomologyBasisError(
                     f"degree {p}: homology classes are dependent modulo boundaries")

@@ -32,7 +32,13 @@ from torsionworks.glue import (
 )
 from torsionworks.linalg import DEFAULT_TOL, DEFECT_TOL, matrix_rank, relative_defect
 from torsionworks.scenes import circle, point, wedge_of_circles
-from torsionworks.torsion import TorsionResult, build_splitting, torsion, torsion_of
+from torsionworks.torsion import (
+    TorsionResult,
+    build_splitting,
+    determinants,
+    torsion,
+    torsion_of,
+)
 
 from conftest import bouquet, diag_rep, random_sl2, sphere, torus
 
@@ -156,11 +162,11 @@ def test_sequence_has_three_spaces_per_degree_of_the_glued_complex(monkeypatch):
         (circle(), diag_rep(2.0), torus(), diag_rep(3.0, 5.0), 9),
         (torus(), diag_rep(2.0, 3.0), bouquet(), diag_rep(2.5), 12),
     ]
-    transported = []
+    given = []
 
-    def recording(*args, **kwargs):
-        transported.append(transport_bases(*args, **kwargs))
-        return transported[-1]
+    def recording(seq, dets=None):
+        given.append(dets)
+        return transport_bases(seq, dets)
 
     monkeypatch.setattr(glue, "transport_bases", recording)
     for m1, r1, m2, r2, spaces in cases:
@@ -168,10 +174,14 @@ def test_sequence_has_three_spaces_per_degree_of_the_glued_complex(monkeypatch):
         seq = mv_sequence(pair)
         assert len(seq.dims) == 3 * (pair.tcm.dimension + 1) == spaces
         assert len(seq.mats) == spaces - 1
-        assert len(transport_bases(seq).det_a) == pair.tcm.dimension + 1
-        transported.clear()
+        # one determinant per degree of each factor
+        transported = transport_bases(seq)
+        assert len(transported.dets_m1) == pair.tc1.dimension + 1
+        assert len(transported.dets_m2) == pair.tc2.dimension + 1
+        given.clear()
         verify_multiplicativity([m1, m2], [r1, r2])
-        assert [len(t.det_a) for t in transported] == [pair.tcm.dimension + 1]
+        # one determinant per space of the sequence
+        assert [len(dets) for dets in given] == [spaces]
 
 
 def test_sequence_circle_circle_dimensions():
@@ -252,8 +262,9 @@ def test_exactness_rejects_dimensions_that_do_not_alternate_to_zero():
 
 
 def test_copies_and_transport_read_the_split_mv_sequence_built(monkeypatch):
-    # det A and both corrective terms come from seq.canonical, the torsion
-    # mv_sequence took once; transport_bases splits and assembles nothing
+    # the residual and the transported corrective term come from
+    # seq.canonical, the torsion mv_sequence took once; transport_bases
+    # splits and assembles nothing
     pair = analyze_disk_sum(wedge_of_circles(2), diag_rep(2.0, 3.0), circle(), diag_rep(5.0))
     seq = mv_sequence(pair)
     calls = []
@@ -267,8 +278,8 @@ def test_copies_and_transport_read_the_split_mv_sequence_built(monkeypatch):
         monkeypatch.setattr(module, name, refused(name))
     transported = transport_bases(seq)
     assert calls == []
+    assert transported.residual == seq.canonical.value
     dets = seq.canonical.per_degree_determinants
-    assert transported.det_a == [dets[q] for q in range(1, len(seq.dims), 3)]
     doubled = dataclasses.replace(
         seq, canonical=TorsionResult(2 * seq.canonical.value, dets))
     assert transport_bases(doubled).residual == pytest.approx(2 * transported.residual,
@@ -316,8 +327,8 @@ def test_transport_makes_corrective_term_one():
         pair = analyze_disk_sum(m1, r1, m2, r2)
         seq = mv_sequence(pair)
         transported = transport_bases(seq)
-        for det_a in transported.det_a:
-            assert abs(det_a) > 1e-12
+        for det in transported.dets_m1 + transported.dets_m2:
+            assert det is None or abs(det) > 1e-12
         assert transported.corrective.value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -327,21 +338,24 @@ def test_transport_point_point_with_geometric_disk_basis():
     seq = mv_sequence(pair)
     # the geometric disk basis as coordinates in the canonical one
     bases = [None, None, np.linalg.solve(pair.hdd.h_basis[0], np.eye(3, dtype=complex))]
-    transported = transport_bases(seq, bases)
+    transported = transport_bases(seq, determinants(bases))
+    assert transported.residual == corrective_term(seq, bases).value
     assert transported.corrective.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transport_identity_when_second_factor_empty():
-    # degree 1 of circle + point: the right factor has no homology there,
-    # the gluing map is the identity in canonical coordinates, and the
-    # transport matrix reduces to the 1 x 1 identity with det 1
+    # degree 1 of circle + point: the right factor has no homology there
+    # and the gluing map is the identity in canonical coordinates; the
+    # residual goes on the point's degree-0 block, and the circle keeps
+    # its canonical basis in every degree
     pair = analyze_disk_sum(circle(), diag_rep(2.0),
                             point(), Representation.trivial(0))
     seq = mv_sequence(pair)
     transported = transport_bases(seq)
     assert seq.dims[4] == 1
-    assert transported.det_a[1] == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(pair.hd1.h_basis[1] @ transported.coords_m1[1], pair.hd1.h_basis[1])
+    assert seq.canonical.per_degree_determinants[4] == pytest.approx(1.0, abs=1e-9)
+    assert transported.dets_m1 == [None, None]
+    assert transported.dets_m2 == [transported.residual ** -1]
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +440,9 @@ def test_multiplicativity_mixed_trivial():
 
 
 def test_multiplicativity_eight_circles_with_distinct_eigenvalues():
-    # the transported degree-0 column is rescaled at every unfold step;
-    # the dependence check of build_splitting must not read a column's
-    # scale as dependence
+    # each unfold step rescales the right factor's degree-0 basis; the
+    # dependence check of build_splitting must not read a scale as
+    # dependence
     report = verify_multiplicativity(
         [circle() for _ in range(8)], [diag_rep(float(lam)) for lam in range(2, 10)])
     assert report.passed
@@ -450,11 +464,24 @@ def assert_exact_chain(report, factors):
 @pytest.mark.parametrize("lams", [[2.0] * 40, list(range(2, 42))],
                          ids=["shared", "distinct"])
 def test_multiplicativity_forty_circles(lams):
-    # the transported degree-0 column shrinks by det A at every unfold
-    # step; it travels as a coordinate and never enters a sequence
+    # each step's scale lands on the right factor, and the basis of the
+    # partial sum travels as a determinant that never enters a sequence
     report = verify_multiplicativity([circle() for _ in lams],
                                      [diag_rep(float(lam)) for lam in lams])
     assert_exact_chain(report, 40)
+
+
+def test_multiplicativity_hundred_twenty_circles_keep_factor_scales():
+    # a step's scale lands on its right factor, so none compounds onto
+    # factor 0: every transported factor torsion stays of order one, where
+    # a scale carried by the partial sum underflows before 120 factors
+    lams = range(2, 122)
+    report = verify_multiplicativity([circle() for _ in lams],
+                                     [diag_rep(float(lam)) for lam in lams])
+    assert report.passed
+    assert len(report.steps) == 119
+    moduli = np.abs(report.factor_torsions)
+    assert moduli.min() >= 1.0 and moduli.max() <= 5.0, (moduli.min(), moduli.max())
 
 
 def test_multiplicativity_sixteen_generic_wedges_of_three_circles():

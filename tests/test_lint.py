@@ -85,3 +85,18 @@ def solver_uses(path):
 def test_no_solver_and_no_inverse_outside_algebra():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in solver_uses(path)]
     assert found == []
+
+
+# a change of basis enters a torsion only through its determinant, so basis
+# transport computes one scalar per step: no dense basis, no determinant of
+# one, and no coordinates to rebase by
+TRANSPORT_BANNED = {"eye", "empty_matrix", "det", "rebased"}
+
+
+def test_transport_bases_names_no_dense_basis():
+    tree = ast.parse((SRC / "glue.py").read_text())
+    transport = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "transport_bases")
+    found = [f"glue.py:{line}: {name}" for line, name in named(transport)
+             if name in TRANSPORT_BANNED]
+    assert found == []

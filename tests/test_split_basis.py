@@ -2,6 +2,7 @@
 the assigned bases ``transport_bases`` passes to ``corrective_term``, and
 the covariance by which every other basis enters a torsion."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from torsionworks import glue, torsion
 from torsionworks.algebra import Representation
 from torsionworks.complexes import TwistedChainComplex
-from torsionworks.errors import DimensionMismatchError, SplittingError
+from torsionworks.errors import DimensionMismatchError, SplittingError, TransportError
 from torsionworks.glue import (
     analyze_disk_sum,
     corrective_term,
@@ -22,9 +23,9 @@ from torsionworks.glue import (
     verify_multiplicativity,
     verify_mv_identity,
 )
-from torsionworks.linalg import matrix_rank, random_recombination
+from torsionworks.linalg import random_recombination
 from torsionworks.scenes import circle, point, wedge_of_circles
-from torsionworks.torsion import rebased, torsion_of
+from torsionworks.torsion import determinants, rebased, rescaled, torsion_of
 
 from conftest import bouquet, diag_rep, random_sl2, torus
 
@@ -48,20 +49,31 @@ def identity_bases(seq):
     return [np.eye(n, dtype=complex) for n in seq.dims]
 
 
-def transported_dense_bases(seq, transported):
-    """The assigned bases of ``transported`` as dense matrices in every space.
+def recorded_determinants(seq, transported):
+    """The determinant of each space's assigned basis, from what
+    ``transport_bases`` records: a factor block's in its direct-sum
+    space, None elsewhere."""
+    dets = [None] * len(seq.dims)
+    for factor in (transported.dets_m1, transported.dets_m2):
+        for p, det in enumerate(factor):
+            if det is not None:
+                assert dets[3 * p + 1] is None
+                dets[3 * p + 1] = det
+    return dets
 
-    Rebuilt from what ``transport_bases`` records, with its operations in
-    its order: column 0 of each nonzero direct-sum space divided by that
-    space's det A, then column 0 of the first one multiplied by the
-    residual's power.
-    """
+
+def transported_dense_bases(seq, transported):
+    """The assigned bases of ``transported`` as dense matrices in every
+    space: identities, with the first vector of a factor block whose
+    determinant is recorded scaled by it."""
     bases = identity_bases(seq)
-    for p, det_a in enumerate(transported.det_a):
-        if seq.dims[3 * p + 1]:
-            bases[3 * p + 1][:, 0] /= det_a
-    slot = next(q for q in range(1, len(seq.dims), 3) if seq.dims[q])
-    bases[slot][:, 0] *= transported.residual ** ((-1) ** slot)
+    for p, det in enumerate(transported.dets_m1):
+        if det is not None:
+            bases[3 * p + 1][0, 0] = det
+    for p, det in enumerate(transported.dets_m2):
+        if det is not None:
+            first = seq.dims[3 * p + 1] - seq.h_factors[1][p].shape[1]
+            bases[3 * p + 1][first, first] = det
     return bases
 
 
@@ -111,20 +123,40 @@ def test_corrective_value_independent_of_split_basis(rng):
                 m1.name, m2.name)
 
 
-def test_transported_determinants_one_whenever_disk_injects():
-    models = [
-        (point(), Representation.trivial(0), point(), Representation.trivial(0)),
-        (circle(), diag_rep(2.0), point(), Representation.trivial(0)),
-        (circle(), Representation.trivial(1), circle(), Representation.trivial(1)),
-        (circle(), Representation.trivial(1), circle(), diag_rep(2.0)),
-    ]
-    for m1, r1, m2, r2 in models:
+def test_transport_cancels_the_residual_on_the_right_factor(rng):
+    # the corrective term in the canonical bases is cancelled by one
+    # scalar: the determinant of M2's basis in its first degree with
+    # homology, so M1, the partial sum of a chain, keeps its canonical bases
+    for m1, r1, m2, r2 in gluing_models(rng):
         seq = mv_sequence(analyze_disk_sum(m1, r1, m2, r2))
-        assert matrix_rank(seq.boundary(2), 1e-8) == seq.dims[2]
         transported = transport_bases(seq)
-        assert transported.residual == pytest.approx(1.0, abs=1e-9)
-        for p, det in enumerate(transported.corrective.per_degree_determinants):
-            assert det == pytest.approx(1.0, abs=1e-9), (m1.name, m2.name, p, det)
+        assert transported.residual == corrective_term(seq).value
+        p = next(p for p, h in enumerate(seq.h_factors[1]) if h.shape[1])
+        expected = [None] * len(seq.h_factors[1])
+        expected[p] = transported.residual ** ((-1) ** (p + 1))
+        assert transported.dets_m2 == expected, (m1.name, m2.name)
+        assert transported.dets_m1 == [None] * len(seq.h_factors[0])
+        assert transported.corrective.value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_transport_falls_back_to_the_left_factor():
+    # read as if M2 were acyclic: its blocks widen M1's, and the residual
+    # goes on M1's first degree with homology; with no factor homology at
+    # all only a residual of 1 can be cancelled
+    seq = mv_sequence(analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0)))
+    assert seq.canonical.value != 1
+    acyclic = [np.zeros((n, 0), dtype=complex) for n in (3, 3)]
+    widened = [np.hstack([h1, h2]) for h1, h2 in zip(*seq.h_factors)]
+    left = transport_bases(dataclasses.replace(seq, h_factors=(widened, acyclic)))
+    assert left.dets_m1 == [left.residual ** -1, None]
+    assert left.dets_m2 == [None, None]
+    assert left.corrective.value == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(TransportError, match="no nonzero direct-sum space"):
+        transport_bases(dataclasses.replace(seq, h_factors=(acyclic, acyclic)))
+    dets = [None] * len(seq.dims)
+    dets[1] = 2.0
+    with pytest.raises(TransportError, match="space 1: a direct-sum space takes no given basis"):
+        transport_bases(seq, dets)
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +198,17 @@ def assert_same_bits(result, reference, where):
 def test_assigned_bases_as_an_argument_change_no_bit():
     # the corrective term in the canonical bases is the sequence's own
     # torsion; an identity block multiplies by det I = 1 exactly, so dense
-    # identities and the bases rebuilt from what transport_bases records
-    # reproduce every printed number bit for bit
+    # identities reproduce every printed number bit for bit, and so does
+    # seq.canonical rescaled by the one determinant transport_bases records
     for (m1, r1), (m2, r2) in itertools.product(bit_models(), repeat=2):
         where = (m1.name, m2.name)
         seq = mv_sequence(analyze_disk_sum(m1, r1, m2, r2))
         for bases in (None, identity_bases(seq)):
             assert_same_bits(corrective_term(seq, bases), seq.canonical, where)
         transported = transport_bases(seq)
-        dense = transported_dense_bases(seq, transported)
-        rescaled = [b if q % 3 == 1 and seq.dims[q] else None for q, b in enumerate(dense)]
-        for bases in (dense, rescaled):
-            assert_same_bits(transported.corrective, corrective_term(seq, bases), where)
+        dets = recorded_determinants(seq, transported)
+        assert sum(det is not None for det in dets) == 1, where
+        assert_same_bits(transported.corrective, rescaled(seq.canonical, dets, -1), where)
 
 
 def covariance_models():
@@ -227,19 +258,43 @@ def test_singular_coordinates_are_an_input_error(space, entry):
     bases = [None] * len(seq.dims)
     bases[space] = np.eye(seq.dims[space], dtype=complex)
     bases[space][:, 0] = entry
-    for call in (corrective_term, transport_bases):
+    for call, given in ((corrective_term, bases), (transport_bases, determinants(bases))):
         with pytest.raises(SplittingError, match=f"degree {space}: singular change of basis"):
-            call(seq, bases)
+            call(seq, given)
 
 
 def test_misshapen_coordinates_are_an_input_error():
+    # transport_bases takes determinants, which have no shape to check
     seq = mv_sequence(analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0)))
     assert seq.dims[3] == 4
     bases = [None] * len(seq.dims)
     bases[3] = np.eye(3, dtype=complex)
-    for call in (corrective_term, transport_bases):
-        with pytest.raises(DimensionMismatchError, match=r"space 3: \(3, 3\) coordinates"):
-            call(seq, bases)
+    with pytest.raises(DimensionMismatchError, match=r"space 3: \(3, 3\) coordinates"):
+        corrective_term(seq, bases)
+
+
+def test_missing_trailing_bases_are_the_identity():
+    seq = mv_sequence(analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0)))
+    for short in ([], [None], [None] * 3):
+        assert_same_bits(corrective_term(seq, short), seq.canonical, short)
+        assert_same_bits(transport_bases(seq, short).corrective,
+                         transport_bases(seq).corrective, short)
+        assert_same_bits(rescaled(seq.canonical, short, 1), seq.canonical, short)
+        assert_same_bits(rebased(seq.canonical, short, -1), seq.canonical, short)
+
+
+def test_more_bases_than_degrees_are_an_input_error():
+    seq = mv_sequence(analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0)))
+    assert len(seq.dims) == 6
+    calls = [
+        (lambda: corrective_term(seq, [None] * 7), "7 changes of basis for a complex of 6"),
+        (lambda: transport_bases(seq, [None] * 7), "7 changes of basis for a complex of 6"),
+        (lambda: rescaled(seq.canonical, [None] * 7, 1), "7 changes of basis for a complex of 6"),
+        (lambda: rebased(seq.canonical, [None] * 7, -1), "7 changes of basis for a complex of 6"),
+    ]
+    for call, message in calls:
+        with pytest.raises(DimensionMismatchError, match=message):
+            call()
 
 
 @pytest.fixture
@@ -321,14 +376,16 @@ def test_chain_solves_nothing(solve_calls, monkeypatch):
         reps.append(diag_rep(*lams))
     report = verify_multiplicativity(list(CHAIN), reps)
     assert report.passed
-    # the rescaled spaces and the carried coordinates of H(M) enter every
-    # corrective term and factor torsion by their determinants
+    # the transported bases and the carried basis of H(M) enter every
+    # corrective term and factor torsion as determinants
     assert len(built) == len(CHAIN) - 1
     assert solve_calls == []
     # sections come from the SVDs of homology and class coordinates are
     # projections, so nothing is solved in the least-squares sense
     assert lstsq_calls == []
-    # the step that unfolds factor k glues CHAIN[:k + 1]
+    # the step that unfolds factor k glues the partial sum of CHAIN[:k] to
+    # CHAIN[k], and records one determinant per degree of each
     assert len(transported) == len(report.steps)
     for t, k in zip(transported, range(len(CHAIN) - 1, 0, -1)):
-        assert len(t.det_a) == max(cw.dimension for cw in CHAIN[:k + 1]) + 1
+        assert len(t.dets_m1) == max(cw.dimension for cw in CHAIN[:k]) + 1
+        assert len(t.dets_m2) == CHAIN[k].dimension + 1

@@ -236,6 +236,21 @@ def test_rejects_non_cycles(basis):
         build_splitting(tc, hd, bad)
 
 
+def test_cycle_check_rejects_representatives_homology_chose(basis):
+    # d1 has singular values 9.0e9, 1.9 and 1.3e-7; the relative rank
+    # cutoff, 90, swallows the genuine 1.9, so homology reports betti
+    # [2, 2] instead of [1, 1] and one of its own degree-1 representatives
+    # is no cycle.  The cycle check is the only guard against it.
+    g0 = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
+    image = g0 @ np.diag([3e4, 1 / 3e4]).astype(complex) @ np.linalg.inv(g0)
+    tc = twist(circle(), Representation.from_images([image]), basis)
+    hd = homology(tc)
+    assert hd.betti == [2, 2]
+    with pytest.raises(BadHomologyBasisError,
+                       match=r"degree 1: homology vectors are not cycles \(defect 1\.9"):
+        torsion_of(tc, hd)
+
+
 def test_rejects_dependent_classes(basis):
     tc = twist(circle(), diag_rep(2.0), basis)
     hd = homology(tc)
