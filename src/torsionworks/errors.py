@@ -30,14 +30,21 @@ class InconsistentLiftsError(TorsionworksError):
 
 
 class HomologyError(TorsionworksError):
-    """Homology representatives could not be chosen: the cycles of some
-    degree have too few directions outside the boundaries."""
+    """Homology representatives could not be chosen, or were chosen wrongly.
+
+    Either the cycles of some degree have too few directions outside the
+    boundaries, or the representatives ``homology`` chose fail
+    ``build_splitting``'s cycle check: the rank cutoff, tol times the
+    largest singular value, dropped a genuine singular value of an
+    ill-conditioned map, so a vector taken for a cycle is not one.  The
+    message names the degree, and the defect in the second case.
+    """
 
 
 class BadHomologyBasisError(TorsionworksError):
-    """Homology basis vectors, supplied or chosen by ``homology``, are not
-    cycles, or their classes are dependent modulo boundaries, or the
-    count is wrong."""
+    """Supplied homology basis vectors are not cycles, or their classes
+    are dependent modulo boundaries, or the count is wrong.  Classes that
+    ``homology`` chose and that are dependent raise it too."""
 
 
 class SplittingError(TorsionworksError):

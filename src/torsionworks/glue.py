@@ -9,7 +9,14 @@ twisted complexes
 
 The map beta = j1 + j2 only relabels cells (a bijection above degree 0),
 so it is never a matrix here: the glued complex and every beta-induced
-map are placements at the coordinates ``DiskSumResult.cell_maps`` gives.
+map are placements at the coordinates ``GluedPair.cell_maps`` gives.
+One rule lays out every disk sum: a factor's cells follow those of the
+factors before it in each degree, and its cell 0 is the base cell 0.
+So the partial sums of a left-associated chain are leading blocks of
+the whole sum, and ``verify_multiplicativity`` lays a chain out once per
+call, writes each factor's twisted blocks once into one placement, and
+reads each partial sum's complex off its leading block; ``disk_sum``
+and ``analyze_disk_sum`` serve single pairs from the same layout.
 Alpha = (i1, -i2) embeds the disk's one cell as cell 0 of each factor;
 it is a small matrix with orthogonal columns, and the connecting map
 pulls back along it by projection.
@@ -102,42 +109,67 @@ class DiskSumResult:
     generator_maps: tuple[list[int], list[int]]
 
 
+def _layout(factors):
+    """Where every factor's cells and generators sit in the left-associated
+    disk sum of ``factors``, from their cell and generator counts alone.
+
+    Returns ``(cell_maps, cells, generators)``.  ``cell_maps[i][p]`` lists
+    the glued index of each p-cell of factor i, for every degree of the
+    whole sum.  ``cells[k]`` are the cell counts of the partial sum of
+    factors 0..k, in its own degrees.  ``generators[i]`` is the index of
+    factor i's first generator, and ``generators[-1]`` the total count.
+    Each factor's cells follow those of the factors before it in every
+    degree, except its cell 0, which is the gluing point, cell 0 of
+    factor 0.  So a partial sum's cells lead the next one's, and the
+    partial sum of factors 0..k is the disk sum of the partial sum of
+    0..k-1 with factor k.
+    """
+    dim = max(m.dimension for m in factors)
+    totals = [0] * (dim + 1)
+    cell_maps, cells, generators = [], [], [0]
+    top = 0
+    for i, m in enumerate(factors):
+        maps = []
+        for p in range(dim + 1):
+            count = m.cells[p] if p <= m.dimension else 0
+            shared = int(p == 0 and i > 0)
+            own = max(count - shared, 0)
+            maps.append([0] * shared + list(range(totals[p], totals[p] + own)))
+            totals[p] += own
+        cell_maps.append(maps)
+        top = max(top, m.dimension)
+        cells.append(totals[:top + 1])
+        generators.append(generators[-1] + m.presentation.generator_count)
+    return cell_maps, cells, generators
+
+
+def _check_gluable(m: CwComplexData):
+    if m.cells[0] < 1:
+        raise DiskSumError(f"factor {m.name!r} has no 0-cell to glue")
+    if untwisted_betti0(m) != 1:
+        raise DiskSumError(f"factor {m.name!r} is not connected")
+
+
 def disk_sum(m1: CwComplexData, m2: CwComplexData) -> DiskSumResult:
     """Glue two connected complexes along one 0-cell (index 0 of each).
 
     The fundamental group is the free product and the Euler
-    characteristics satisfy chi(M) = chi(M1) + chi(M2) - 1.
+    characteristics satisfy chi(M) = chi(M1) + chi(M2) - 1.  The cell
+    and generator maps come from the layout ``verify_multiplicativity``
+    computes once for a whole chain, so a pair and a chain follow one
+    gluing rule; the glued group-ring boundaries are built and checked
+    here, for callers that need the glued CW data itself.
     """
     for m in (m1, m2):
-        if m.cells[0] < 1:
-            raise DiskSumError(f"factor {m.name!r} has no 0-cell to glue")
-        if untwisted_betti0(m) != 1:
-            raise DiskSumError(f"factor {m.name!r} is not connected")
-
-    g1 = m1.presentation.generator_count
-    g2 = m2.presentation.generator_count
+        _check_gluable(m)
+    (maps1, maps2), (_, cells), (_, g1, g) = _layout([m1, m2])
     relators = tuple(m1.presentation.relators) + tuple(
         _remap_word(r, g1) for r in m2.presentation.relators
     )
-    pres = GroupPresentation(g1 + g2, relators)
-
-    dim = max(m1.dimension, m2.dimension)
-
-    def count(m, p):
-        return m.cells[p] if p <= m.dimension else 0
-
-    cells = []
-    maps1: list[list[int]] = []
-    maps2: list[list[int]] = []
-    for p in range(dim + 1):
-        a, b = count(m1, p), count(m2, p)
-        shared = int(p == 0)  # cell 0 of M2 is cell 0 of M1
-        cells.append(a + b - shared)
-        maps1.append(list(range(a)))
-        maps2.append([0] * shared + [a + j - shared for j in range(shared, b)])
+    pres = GroupPresentation(g, relators)
 
     boundaries = []
-    for p in range(1, dim + 1):
+    for p in range(1, len(cells)):
         rows, cols = cells[p - 1], cells[p]
         grid = [[GroupRingElement.zero() for _ in range(cols)] for _ in range(rows)]
         if p <= m1.dimension:
@@ -166,22 +198,29 @@ def disk_sum(m1: CwComplexData, m2: CwComplexData) -> DiskSumResult:
     return DiskSumResult(
         total=total,
         cell_maps=(maps1, maps2),
-        generator_maps=(list(range(g1)), [g1 + j for j in range(g2)]),
+        generator_maps=(list(range(g1)), list(range(g1, g))),
     )
 
 
-def free_product_rep(psi1: Representation, psi2: Representation,
-                     ds: DiskSumResult) -> Representation:
-    """The unique representation restricting to psi1 and psi2."""
+def _check_reps(psi1: Representation, psi2: Representation, images: int, generators: int):
+    """Reject gluing psi2 to psi1 when their targets or ranks differ, or when
+    the glued representation's ``images`` do not match the glued
+    presentation's ``generators``."""
     if psi1.target != psi2.target:
         raise DiskSumError(
             f"target mismatch: {psi1.target.value} vs {psi2.target.value}"
         )
     if psi1.n != psi2.n:
         raise DiskSumError(f"rank mismatch: {psi1.n} vs {psi2.n}")
-    images = tuple(psi1.images) + tuple(psi2.images)
-    if len(images) != ds.total.presentation.generator_count:
+    if images != generators:
         raise DiskSumError("generator counts do not match the glued presentation")
+
+
+def free_product_rep(psi1: Representation, psi2: Representation,
+                     ds: DiskSumResult) -> Representation:
+    """The unique representation restricting to psi1 and psi2."""
+    images = tuple(psi1.images) + tuple(psi2.images)
+    _check_reps(psi1, psi2, len(images), ds.total.presentation.generator_count)
     return Representation(psi1.target, psi1.n, images)
 
 
@@ -194,6 +233,20 @@ def _coordinates(cell_map, d):
     return (np.asarray(cell_map, dtype=int)[:, None] * d + np.arange(d)).ravel()
 
 
+def _place(mats, tc: TwistedChainComplex, maps):
+    """Write the boundary blocks of ``tc`` into the glued maps ``mats`` at the
+    coordinates of its cell maps ``maps``."""
+    d = tc.d
+    for p in range(1, tc.dimension + 1):
+        rows, cols = _coordinates(maps[p - 1], d), _coordinates(maps[p], d)
+        mats[p - 1][np.ix_(rows, cols)] = tc.boundary(p)
+
+
+def _zero_maps(cells, d):
+    return [np.zeros((cells[p - 1] * d, cells[p] * d), dtype=complex)
+            for p in range(1, len(cells))]
+
+
 def placed_complex(ds: DiskSumResult, tc1: TwistedChainComplex,
                    tc2: TwistedChainComplex) -> TwistedChainComplex:
     """The twisted complex of ``ds.total``, assembled from its factors' blocks.
@@ -203,17 +256,17 @@ def placed_complex(ds: DiskSumResult, tc1: TwistedChainComplex,
     coordinates its cell maps give; the result equals
     ``twist(ds.total, rep, basis)`` entry for entry.  The columns of a
     glued boundary split between the factors, so the glued maps compose
-    to the factors' compositions, which ``twist`` checked.
+    to the factors' compositions, which ``twist`` checked.  This serves
+    a single pair of ``disk_sum``; a chain is placed once, by
+    ``verify_multiplicativity``, with the same writer, and each partial
+    sum's complex is a leading block of that placement with the same bits
+    as this function's output.
     """
     d = tc1.d
     cells = ds.total.cells
-    mats = []
-    for p in range(1, len(cells)):
-        big = np.zeros((cells[p - 1] * d, cells[p] * d), dtype=complex)
-        for tc, maps in zip((tc1, tc2), ds.cell_maps):
-            rows, cols = _coordinates(maps[p - 1], d), _coordinates(maps[p], d)
-            big[np.ix_(rows, cols)] = tc.boundary(p)
-        mats.append(big)
+    mats = _zero_maps(cells, d)
+    for tc, maps in zip((tc1, tc2), ds.cell_maps):
+        _place(mats, tc, maps)
     return TwistedChainComplex(d, [m * d for m in cells], mats)
 
 
@@ -237,10 +290,13 @@ def _class_coordinates(vectors, h, boundary):
 
 @dataclass
 class GluedPair:
-    """Everything needed to study one disk sum of twisted complexes."""
+    """Everything needed to study one disk sum of twisted complexes.
 
-    ds: DiskSumResult
-    rep: Representation
+    ``cell_maps`` holds, for M1 and for M2, the glued index of each of
+    its p-cells in M, one list per degree of M.
+    """
+
+    cell_maps: tuple[list, list]
     tc1: TwistedChainComplex
     tc2: TwistedChainComplex
     tcm: TwistedChainComplex
@@ -284,7 +340,7 @@ def mv_sequence(pair: GluedPair, tol: float = DEFAULT_TOL) -> MvSequence:
     coordinates: inclusion-induced maps in each degree, plus the
     connecting map by the usual zig-zag (lift along beta, take the
     boundary, pull back along alpha).  Beta only relabels cells, so its maps are
-    placements at the coordinates of ``ds.cell_maps``: a factor's
+    placements at the coordinates of ``pair.cell_maps``: a factor's
     cycles are written there, and a cycle of M lifts by reading its
     factors' coordinates back, which is exact above degree 0.  Alpha,
     (v, -v) on the shared 0-cell, has orthogonal columns of squared norm
@@ -297,8 +353,8 @@ def mv_sequence(pair: GluedPair, tol: float = DEFAULT_TOL) -> MvSequence:
     b1, b2, bm, bd = (_padded(hd.h_basis, degrees)
                       for hd in (pair.hd1, pair.hd2, pair.hdm, pair.hdd))
 
-    ds, d = pair.ds, tcm.d
-    at1, at2 = [[_coordinates(cells, d) for cells in maps] for maps in ds.cell_maps]
+    d = tcm.d
+    at1, at2 = [[_coordinates(cells, d) for cells in maps] for maps in pair.cell_maps]
     # alpha: C(D) -> C_0(M1) (+) C_0(M2), (v, -v) on cell 0 of each factor
     n1 = tc1.dims[0]
     alpha = np.zeros((n1 + tc2.dims[0], d), dtype=complex)
@@ -493,35 +549,63 @@ def _factored(cw: CwComplexData, rep: Representation,
     return tc, homology(tc, tol)
 
 
-def _glue(m1: CwComplexData, rep1: Representation,
-          m2: CwComplexData, rep2: Representation,
-          tol: float, prev: GluedPair | None = None) -> GluedPair:
-    """Glue M1 and M2, then twist and factor each complex once.
+def _glued_chain(factors, reps, tol: float):
+    """The pair of each step of the left-associated disk sum of ``factors``.
 
-    ``prev`` is the pair whose glued space is M1.  Its twisted complex,
-    homology and disk are reused rather than rebuilt; without it, M1 and
-    the disk are twisted and factored here.  The glued complex is not
-    twisted: it is placed from the factors' blocks.  Every complex is
-    twisted through the fixed sl2 basis ``orthonormal_sl2_basis``.
+    Step k glues the partial sum of factors 0..k-1 to factor k.  The
+    layout of the whole sum is computed once, from the factors' cell
+    counts, and each factor's twisted blocks are written once into one
+    placement of it; the complex of the partial sum of 0..k is a copy of
+    that placement's leading block, the same bits as ``placed_complex``
+    gives.  A factor is checked as ``disk_sum`` and ``free_product_rep``
+    check it, connectivity first, then its representation's target, rank
+    and generator count against the first factor's, just before it is
+    twisted; the partial sums, built here, are not checked again.  The
+    first factor and the disk are twisted with the second factor, each
+    partial sum's homology is taken at its step, and the partial sum is
+    the next step's left factor.  Every complex is twisted through the
+    fixed sl2 basis ``orthonormal_sl2_basis``.
     """
-    ds = disk_sum(m1, m2)
-    rep = free_product_rep(rep1, rep2, ds)
-    if prev is None:
-        tc1, hd1 = _factored(m1, rep1, tol)
-        tcd, hdd = _factored(disk(), Representation.trivial(0, rep.n, rep1.target), tol)
-    else:
-        tc1, hd1, tcd, hdd = prev.tcm, prev.hdm, prev.tcd, prev.hdd
-    tc2, hd2 = _factored(m2, rep2, tol)
-    tcm = placed_complex(ds, tc1, tc2)
-    hdm = homology(tcm, tol)
-    return GluedPair(ds, rep, tc1, tc2, tcm, tcd, hd1, hd2, hdm, hdd)
+    cell_maps, cells, generators = _layout(factors)
+    first = reps[0]
+    images = len(first.images)
+    _check_gluable(factors[0])
+    for k in range(1, len(factors)):
+        _check_gluable(factors[k])
+        images += len(reps[k].images)
+        _check_reps(first, reps[k], images, generators[k + 1])
+        # factor 0 and the disk are twisted after factor 1's checks, as a
+        # pairwise gluing of the first two factors orders them
+        if k == 1:
+            tc1, hd1 = _factored(factors[0], first, tol)
+            tcd, hdd = _factored(disk(), Representation.trivial(0, first.n, first.target), tol)
+            d = tc1.d
+            placement = _zero_maps(cells[-1], d)
+            _place(placement, tc1, cell_maps[0])
+        tc2, hd2 = _factored(factors[k], reps[k], tol)
+        _place(placement, tc2, cell_maps[k])
+        sizes = cells[k]
+        tcm = TwistedChainComplex(d, [n * d for n in sizes], [
+            placement[p - 1][:sizes[p - 1] * d, :sizes[p] * d].copy()
+            for p in range(1, len(sizes))])
+        hdm = homology(tcm, tol)
+        # the partial sum of 0..k-1 leads that of 0..k in every degree
+        left = [list(range(cells[k - 1][p] if p < len(cells[k - 1]) else 0))
+                for p in range(len(sizes))]
+        yield GluedPair((left, cell_maps[k][:len(sizes)]),
+                        tc1, tc2, tcm, tcd, hd1, hd2, hdm, hdd)
+        tc1, hd1 = tcm, hdm
 
 
 def analyze_disk_sum(m1: CwComplexData, rep1: Representation,
                      m2: CwComplexData, rep2: Representation,
                      tol: float = DEFAULT_TOL) -> GluedPair:
-    """Glue M1 and M2 and twist and factor the four complexes of the pair."""
-    return _glue(m1, rep1, m2, rep2, tol)
+    """Glue M1 and M2 and twist and factor the four complexes of the pair.
+
+    This is the one step of a two-factor chain, so a pair is checked,
+    laid out and placed exactly as each step of ``verify_multiplicativity``.
+    """
+    return next(_glued_chain([m1, m2], [rep1, rep2], tol))
 
 
 @dataclass
@@ -659,9 +743,16 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     torsion is evaluated in its transported basis; the two code paths
     meet in the final comparison.
 
-    Each complex of the chain is twisted and factored once: each glued
-    space is carried forward as the next step's left factor, and one
-    disk serves every step.  Each sequence is built in canonical bases,
+    The chain is laid out once per call: the cell and generator offsets of
+    every factor in every partial sum come from the factors' counts, each
+    factor's twisted blocks are written once into one placement of the
+    whole sum, and each partial sum's twisted complex is a copy of its
+    leading block.  No partial sum's CW data is glued, placed or checked
+    again.  Each factor's input checks (connectivity, then target, rank
+    and generator count) run just before its twist, as gluing it pairwise
+    would run them.  Each complex of the chain is twisted and factored
+    once: each glued space is carried forward as the next step's left
+    factor, and one disk serves every step.  Each sequence is built in canonical bases,
     and the basis of H(M) travels down the chain as one determinant per
     degree, of its coordinates in the canonical one: those of the
     classes of ``h_m`` at the top (None when it is omitted), then the
@@ -674,11 +765,10 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     if len(factors) != len(reps):
         raise DiskSumError("one representation required per factor")
 
-    pairs = [_glue(factors[0], reps[0], factors[1], reps[1], tol)]
-    for m2, rep2 in zip(factors[2:], reps[2:]):
-        prev = pairs[-1]
-        pairs.append(_glue(prev.ds.total, prev.rep, m2, rep2, tol, prev))
-    left_names = [factors[0].name] + [pair.ds.total.name for pair in pairs[:-1]]
+    pairs = list(_glued_chain(factors, reps, tol))
+    left_names = [factors[0].name]
+    for m in factors[1:-1]:
+        left_names.append(f"{left_names[-1]}+{m.name}")
 
     top = pairs[-1]
     split = build_splitting(top.tcm, top.hdm, h_m, tol=tol)

@@ -6,6 +6,15 @@ treated as the zero map.  Rank decisions are otherwise relative to the
 largest singular value.  Each map is factored once, by the SVD of
 ``kernel_and_image``, which also gives the image's minimum-norm section.
 
+``kernel_and_image`` and ``complement_in`` take the full SVD on every
+shape.  A reduced SVD (``full_matrices=False``) gives a tall map's
+singular values and V to the bit, but not always its U: LAPACK forms U
+through blocked Householder products whose rounding depends on whether
+U has m or n columns, and with OpenBLAS 0.3.31 the leading columns
+differ on a 145 x 35 map with one BLAS thread and on a 200 x 32 map with
+two.  Those columns are the image and homology bases, so a reduced SVD
+would move printed torsion digits on larger inputs.
+
 Defect and composition checks take no SVD.  They bound the 2-norm from
 both sides instead: the Frobenius norm of a defect is at least its
 2-norm, and the largest column norm of a scale is at most its 2-norm.
@@ -37,6 +46,8 @@ Gram matrix is a principal block of the whole one, so ||G_sub - I||_F <=
 whenever the whole is accepted, the block is too.  The torsion's
 determinant is then taken of the matrix that was certified.
 """
+
+import math
 
 import numpy as np
 
@@ -71,6 +82,11 @@ GRAM_TOL_LIMIT = 0.5
 # infinite norm, whose squares overflowed
 UNDERFLOW_FLOOR = 1e-150
 
+# the smallest normal float, the least divisor of that second pass: numpy
+# divides a complex array through the divisor's reciprocal, which overflows
+# for a subnormal divisor
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
 
 def empty_matrix(rows, cols=0):
     return np.zeros((rows, cols), dtype=complex)
@@ -88,25 +104,27 @@ def frobenius_norm(a):
 
     A norm below ``UNDERFLOW_FLOOR``, where squares of entries underflow,
     or an infinite one, where they overflow, is taken again on ``a`` over
-    its largest modulus when that is finite.
+    its largest modulus when that is finite and nonzero (over
+    ``SMALLEST_NORMAL`` when it is subnormal).
     """
     n = float(np.linalg.norm(a))
     if n < UNDERFLOW_FLOOR or n == np.inf:
         s = float(np.abs(a).max(initial=0.0))
         if 0 < s < np.inf:
+            s = max(s, SMALLEST_NORMAL)
             n = s * float(np.linalg.norm(a / s))
     return n
 
 
-def _column_sums(a):
-    """The 2-norm of each column as the plain root of its sum of squares."""
-    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=0))
+def _column_squares(a):
+    """The sum of squared moduli of each column."""
+    return np.add.reduce((a.conj() * a).real, axis=0)
 
 
 # the sums with an overflow raised, or left at inf; a decorated call
 # costs less than a ``with np.errstate`` block on the checks' small matrices
-_sums_or_raise = np.errstate(over="raise", invalid="ignore")(_column_sums)
-_sums_to_inf = np.errstate(over="ignore", invalid="ignore")(_column_sums)
+_squares_or_raise = np.errstate(over="raise", invalid="ignore")(_column_squares)
+_squares_to_inf = np.errstate(over="ignore", invalid="ignore")(_column_squares)
 
 
 def column_norms(a):
@@ -114,28 +132,51 @@ def column_norms(a):
 
     A norm below ``UNDERFLOW_FLOOR``, where squares of entries underflow,
     or an infinite one, where they overflow, is taken again on its column
-    over the column's largest modulus when that is finite.  The sum is
+    over the column's largest modulus when that is finite and nonzero
+    (over ``SMALLEST_NORMAL`` when it is subnormal).  The sum is
     the one ``numpy.linalg.norm(a, axis=0)`` takes, bit for bit, without
     that call's argument handling, which costs more than the sum on the
     small matrices of the checks.  An overflow raises as it happens, so
     norms in the normal range cost no second pass.
     """
     try:
-        n, overflowed = _sums_or_raise(a), False
+        n, overflowed = np.sqrt(_squares_or_raise(a)), False
     except FloatingPointError:
-        n, overflowed = _sums_to_inf(a), True
+        n, overflowed = np.sqrt(_squares_to_inf(a)), True
     # a NaN norm takes this branch too, so it cannot hide an underflowed one
     if overflowed or not UNDERFLOW_FLOOR <= n.min(initial=UNDERFLOW_FLOOR):
         redo = (n < UNDERFLOW_FLOOR) | (n == np.inf)
         s = np.abs(a[:, redo]).max(axis=0, initial=0.0)
         s[(s == 0) | (s == np.inf)] = 1.0
+        np.maximum(s, SMALLEST_NORMAL, out=s)
         with np.errstate(over="ignore"):
-            n[redo] = s * _sums_to_inf(a[:, redo] / s)
+            n[redo] = s * np.sqrt(_squares_to_inf(a[:, redo] / s))
     return n
 
 
 def max_column_norm(a):
-    """Largest column 2-norm, a lower bound on the 2-norm (0 when ``a`` is empty)."""
+    """Largest column 2-norm, a lower bound on the 2-norm (0 when ``a`` is empty).
+
+    The largest of ``column_norms(a)``, taken as the root of the largest
+    sum of squares before any rescale pass: the square root is monotone
+    and correctly rounded, so the largest root is the root of the largest
+    sum.  A column that ``column_norms`` rescales for underflow has every
+    entry below ``UNDERFLOW_FLOOR``, so its norm is below UNDERFLOW_FLOOR
+    sqrt(m), m the row count, up to rounding; a finite largest root of at
+    least twice that is the largest norm.  The zero map's is 0.  Otherwise,
+    an overflow, an infinite entry or a NaN included, it is taken from
+    ``column_norms``.
+    """
+    try:
+        sums = _squares_or_raise(a)
+    except FloatingPointError:
+        sums = None
+    if sums is not None and sums.size:
+        top = math.sqrt(sums.max())
+        if 2 * UNDERFLOW_FLOOR * math.sqrt(a.shape[0]) <= top < math.inf:
+            return top
+        if not a.any():
+            return 0.0
     return float(column_norms(a).max(initial=0.0))
 
 
@@ -290,7 +331,10 @@ def kernel_and_image(a, tol):
 
 def relative_defect(residue, targets):
     """Frobenius norm of ``residue`` over the larger of 1 and the largest
-    column norm of ``targets``: at least the relative 2-norm defect."""
+    column norm of ``targets``: at least the relative 2-norm defect.  An
+    empty residue has defect 0, with no work."""
+    if residue.size == 0:
+        return 0.0
     return frobenius_norm(residue) / max(max_column_norm(targets), 1.0)
 
 

@@ -26,7 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadHomologyBasisError, DimensionMismatchError, SplittingError
+from .errors import (
+    BadHomologyBasisError,
+    DimensionMismatchError,
+    HomologyError,
+    SplittingError,
+)
 from .linalg import DEFAULT_TOL, DEFECT_TOL, PASS_TOL
 
 
@@ -89,12 +94,17 @@ def build_splitting(tc, hd, h_bases=None, tol: float = DEFAULT_TOL,
     default bases the columns are near orthonormal and a Gram product
     certifies each check; supplied or recombined bases far from
     orthonormal, and any check that fails, take the rank SVD.
+
+    Supplied vectors that are not cycles raise BadHomologyBasisError.
+    Representatives chosen by ``homology`` that are not cycles raise
+    HomologyError instead, with the degree and the defect: ``homology``
+    misread a rank, its cutoff having dropped a genuine singular value.
     """
     deferred = []
     try:
         return _certified_split(tc, hd, h_bases, tol, boundary_bases, section_cycles,
                                 deferred)
-    except (BadHomologyBasisError, SplittingError):
+    except (BadHomologyBasisError, HomologyError, SplittingError):
         for p in deferred:
             error = _dependent_classes(hd, hd.h_basis[p], p, tol)
             if error is not None:
@@ -122,6 +132,11 @@ def _certified_split(tc, hd, h_bases, tol, boundary_bases, section_cycles, defer
         if h.shape[1]:
             cycle_defect = linalg.frobenius_norm(tc.boundary(p) @ h)
             if not cycle_defect <= tol * max(1.0, linalg.max_column_norm(h)):
+                if block is None:
+                    raise HomologyError(
+                        f"degree {p}: the homology representatives are not cycles "
+                        f"(defect {cycle_defect:.3e}); the rank cutoff, tol times the "
+                        "largest singular value, dropped a genuine singular value")
                 raise BadHomologyBasisError(
                     f"degree {p}: homology vectors are not cycles (defect {cycle_defect:.3e})"
                 )
@@ -140,11 +155,12 @@ def _certified_split(tc, hd, h_bases, tol, boundary_bases, section_cycles, defer
         if boundary_bases is not None:
             # the minimum-norm preimage, through target's image-basis coordinates
             pre = pre @ (hd.boundary_basis[p - 1].conj().T @ target)
-        defect = linalg.relative_defect(tc.boundary(p) @ pre - target, target)
-        if not defect <= DEFECT_TOL:
-            raise SplittingError(
-                f"degree {p}: section defect {defect:.3e} exceeds {DEFECT_TOL:.0e}"
-            )
+        if target.shape[1]:
+            defect = linalg.relative_defect(tc.boundary(p) @ pre - target, target)
+            if not defect <= DEFECT_TOL:
+                raise SplittingError(
+                    f"degree {p}: section defect {defect:.3e} exceeds {DEFECT_TOL:.0e}"
+                )
         if section_cycles is not None and pre.shape[1]:
             shift = section_cycles[p]
             if shift is not None:

@@ -37,6 +37,13 @@ def random_sl2(rng):
             return m / np.sqrt(det)
 
 
+def glued_data(m1, rep1, m2, rep2):
+    """The glued CW data and free-product representation of a disk sum."""
+    from torsionworks.glue import disk_sum, free_product_rep
+    ds = disk_sum(m1, m2)
+    return ds.total, free_product_rep(rep1, rep2, ds)
+
+
 def block_ad(g0, cells, basis=None):
     """Block-diagonal adjoint change of coordinates, one block per cell."""
     basis = basis or orthonormal_sl2_basis()

@@ -13,7 +13,7 @@ from torsionworks.errors import TorsionworksError
 from torsionworks.glue import analyze_disk_sum, verify_mv_identity
 from torsionworks.scenes import circle, point, scene_text, wedge_of_circles
 
-from conftest import diag_rep, random_sl2, sphere
+from conftest import diag_rep, glued_data, random_sl2, sphere
 
 
 @pytest.fixture
@@ -433,7 +433,8 @@ def test_verify_theorem1_h_from_file(scene_dir, tmp_path, capsys):
     pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
     h_bases = {p: 1.5 * pair.hdm.h_basis[p] for p in range(2)}
     h_path = tmp_path / "total_with_h.json"
-    h_path.write_text(scene_text(pair.ds.total, pair.rep, h_bases=h_bases))
+    h_path.write_text(scene_text(*glued_data(circle(), diag_rep(2.0), circle(), diag_rep(3.0)),
+                                 h_bases=h_bases))
     code, out, _ = run_cli(capsys, "verify-theorem1", scene_dir["circle2"],
                            scene_dir["circle3"], "--h-from", "file",
                            "--h-file", str(h_path), "--json")
@@ -447,7 +448,8 @@ def test_h_file_tolerance_is_not_consulted(scene_dir, tmp_path, capsys):
     from torsionworks.glue import analyze_disk_sum
     pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
     h_path = tmp_path / "total_with_h.json"
-    h_path.write_text(scene_text(pair.ds.total, pair.rep, tolerance=1e-7,
+    total, rep = glued_data(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
+    h_path.write_text(scene_text(total, rep, tolerance=1e-7,
                                  h_bases={p: pair.hdm.h_basis[p] for p in range(2)}))
     code, out, _ = run_cli(capsys, "verify-theorem1", scene_dir["circle2"],
                            scene_dir["circle3"], "--h-from", "file",
@@ -467,8 +469,8 @@ def test_h_file_skipping_a_degree_is_an_input_error(scene_dir, tmp_path, capsys)
     from torsionworks.glue import analyze_disk_sum
     pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
     h_path = tmp_path / "total_degree1_only.json"
-    h_path.write_text(scene_text(pair.ds.total, pair.rep,
-                                 h_bases={1: pair.hdm.h_basis[1]}))
+    total, rep = glued_data(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
+    h_path.write_text(scene_text(total, rep, h_bases={1: pair.hdm.h_basis[1]}))
     code, out, err = run_cli(capsys, "verify-theorem1", scene_dir["circle2"],
                              scene_dir["circle3"], "--h-from", "file",
                              "--h-file", str(h_path))
@@ -508,7 +510,8 @@ def test_h_file_with_an_empty_degree_matches_canonical(tmp_path, capsys):
         path.write_text(scene_text(cw, rep))
         paths.append(str(path))
     h_path = tmp_path / "total_with_h.json"
-    h_path.write_text(scene_text(pair.ds.total, pair.rep,
+    total, rep = glued_data(wedge_of_circles(2), wedge_rep, circle(), circle_rep)
+    h_path.write_text(scene_text(total, rep,
                                  h_bases={p: pair.hdm.h_basis[p] for p in range(2)}))
     reports = []
     for extra in (["--h-from", "canonical"], ["--h-from", "file", "--h-file", str(h_path)]):

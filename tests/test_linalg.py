@@ -18,7 +18,9 @@ from torsionworks.algebra import Representation, orthonormal_sl2_basis
 from torsionworks.complexes import TwistedChainComplex, homology, twist
 from torsionworks.errors import (
     BadHomologyBasisError,
+    HomologyError,
     InconsistentLiftsError,
+    RankAmbiguityError,
     SequenceError,
 )
 from torsionworks.scenes import wedge_of_circles
@@ -138,6 +140,17 @@ def test_norms_of_entries_whose_squares_overflow(scale):
     assert with_nan[1:] == pytest.approx(scale * linalg.column_norms(a), rel=ULPS)
 
 
+@pytest.mark.parametrize("scale", [1e-310, 5e-324])
+def test_norms_of_subnormal_entries(scale):
+    # the second pass divides by at least the smallest normal number, whose
+    # reciprocal is finite
+    a = np.array([[3.0, 0.0], [4.0j, 1.0]]) * scale
+    assert linalg.column_norms(a)[0] == pytest.approx(5.0 * scale, rel=1e-9, abs=5e-324)
+    assert linalg.frobenius_norm(a) == pytest.approx(np.sqrt(26.0) * scale, rel=1e-9,
+                                                     abs=5e-324)
+    assert linalg.max_column_norm(a) == linalg.column_norms(a).max() > 0
+
+
 def test_norms_beyond_the_float_range_are_infinite():
     a = np.array([[1.5e308, 1.0], [1.5e308, np.inf]])
     assert linalg.column_norms(a).tolist() == [np.inf, np.inf]
@@ -152,6 +165,84 @@ def test_norms_in_the_normal_range_keep_every_bit(a):
     assert linalg.column_norms(a).tobytes() == \
         np.sqrt(np.add.reduce((a.conj() * a).real, axis=0)).tobytes()
     assert linalg.frobenius_norm(a) == float(np.linalg.norm(a))
+
+
+# squares that may under- or overflow, and non-finite entries
+extreme = st.sampled_from([0.0, 1e-310, 1e-200, 1e-160, 1e-155, 0.5, 1.0, 3.0, 1e155,
+                           1e200, 1.5e308, np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes.flatmap(dense), hnp.arrays(float, st.integers(1, 7), elements=extreme))
+def test_max_column_norm_is_the_largest_column_norm(a, scales):
+    # the root of the largest sum of squares, or column_norms' rescaled
+    # pass wherever a column leaves the range, bit for bit
+    with np.errstate(all="ignore"):
+        a = a * np.resize(scales, a.shape[1])
+        expected = np.float64(linalg.column_norms(a).max(initial=0.0))
+        got = np.float64(linalg.max_column_norm(a))
+    assert got.tobytes() == expected.tobytes()
+
+
+def full_kernel_and_image(a, tol):
+    """``kernel_and_image`` with the full SVD on every shape."""
+    if a.size == 0:
+        return (np.eye(a.shape[1], dtype=complex), linalg.empty_matrix(a.shape[0]),
+                linalg.empty_matrix(a.shape[1]))
+    u, sv, vh = np.linalg.svd(a)
+    rank = linalg.svd_rank(sv, tol, check_ambiguity=True)
+    return vh[rank:, :].conj().T, u[:, :rank], vh[:rank, :].conj().T / sv[:rank]
+
+
+def full_complement_in(span, subspace, count, tol):
+    """``complement_in`` with the full SVD on every shape."""
+    if count == 0:
+        return linalg.empty_matrix(span.shape[0])
+    resid = span - subspace @ (subspace.conj().T @ span)
+    u, sv, _ = np.linalg.svd(resid)
+    if sv.size < count or sv[count - 1] <= tol:
+        raise HomologyError("too few directions")
+    return u[:, :count]
+
+
+def factor_bits(fn, *args):
+    """The bytes of each output array, or the type of the error raised."""
+    try:
+        return [np.ascontiguousarray(x).tobytes() for x in fn(*args)]
+    except (HomologyError, RankAmbiguityError) as exc:
+        return type(exc)
+
+
+def gaussian(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 150), st.integers(1, 40), st.floats(0, 1), st.integers(0, 2**32 - 1))
+# tall maps on which the reduced SVD (full_matrices=False) rounds U's leading
+# columns differently from the full one: 145 x 35 with one BLAS thread, 200
+# x 32 with two; then square past LAPACK's block size, and wide
+@example(145, 35, 1.0, 0)
+@example(200, 32, 1.0, 0)
+@example(33, 33, 0.5, 0)
+@example(40, 70, 0.5, 0)
+def test_factors_keep_the_full_svds_bits(rows, cols, fill, seed):
+    # tall, square and wide maps, rank-deficient ones included: the kernel,
+    # image, section and complement are the full SVD's to the bit, which a
+    # reduced SVD on tall maps would not keep
+    rng = np.random.default_rng(seed)
+    rank = round(fill * min(rows, cols))
+    a = gaussian(rng, rows, rank) @ gaussian(rng, rank, cols)
+    assert factor_bits(linalg.kernel_and_image, a, 1e-8) == \
+        factor_bits(full_kernel_and_image, a, 1e-8)
+    # an orthonormal span, a subspace of it, and the complement's dimension
+    span, _ = np.linalg.qr(gaussian(rng, rows, min(rows, cols)))
+    inside = round(fill * span.shape[1])
+    subspace, _ = np.linalg.qr(span @ gaussian(rng, span.shape[1], inside))
+    count = span.shape[1] - inside
+    assert factor_bits(lambda *args: [linalg.complement_in(*args)],
+                       span, subspace, count, 1e-8) == \
+        factor_bits(lambda *args: [full_complement_in(*args)], span, subspace, count, 1e-8)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (1, 6), (6, 1), (2, 7), (7, 2)])

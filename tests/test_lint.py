@@ -100,3 +100,17 @@ def test_transport_bases_names_no_dense_basis():
     found = [f"glue.py:{line}: {name}" for line, name in named(transport)
              if name in TRANSPORT_BANNED]
     assert found == []
+
+
+# a chain is laid out and placed once per call: no step glues the CW data of
+# a partial sum or places its complex again
+CHAIN_BANNED = {"disk_sum", "placed_complex"}
+
+
+def test_a_chain_glues_no_partial_sum_pairwise():
+    tree = ast.parse((SRC / "glue.py").read_text())
+    found = [f"glue.py:{line}: {name}" for node in tree.body
+             if isinstance(node, ast.FunctionDef)
+             and node.name in {"verify_multiplicativity", "_glued_chain"}
+             for line, name in named(node) if name in CHAIN_BANNED]
+    assert found == []

@@ -19,7 +19,7 @@ from torsionworks.scenes import (
 )
 from torsionworks.torsion import torsion_of
 
-from conftest import diag_rep, random_sl2, sphere
+from conftest import diag_rep, glued_data, random_sl2, sphere
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +142,13 @@ def test_round_trip_h_bases_and_tolerance(basis):
 
 def test_round_trip_empty_homology_basis():
     rng = np.random.default_rng(32)
-    pair = analyze_disk_sum(
-        wedge_of_circles(2), Representation.from_images([random_sl2(rng), random_sl2(rng)]),
-        circle(), Representation.from_images([random_sl2(rng)]))
+    factors = (wedge_of_circles(2),
+               Representation.from_images([random_sl2(rng), random_sl2(rng)]),
+               circle(), Representation.from_images([random_sl2(rng)]))
+    pair = analyze_disk_sum(*factors)
     assert pair.hdm.betti[0] == 0
     h_bases = {p: pair.hdm.h_basis[p] for p in range(2)}
-    text = scene_text(pair.ds.total, pair.rep, h_bases=h_bases)
+    text = scene_text(*glued_data(*factors), h_bases=h_bases)
     assert '"0": []' in text
     scene = parse_scene(text)
     assert scene.h_bases[0].shape == (3, 0)

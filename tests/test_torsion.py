@@ -4,7 +4,7 @@ import pytest
 from torsionworks.algebra import Representation, Word, adjoint_matrix
 from torsionworks.complexes import TwistedChainComplex, change_lift, homology, twist
 from torsionworks import linalg
-from torsionworks.errors import BadHomologyBasisError, SplittingError
+from torsionworks.errors import BadHomologyBasisError, HomologyError, SplittingError
 from torsionworks.scenes import circle, point, wedge_of_circles
 from torsionworks.torsion import (
     build_splitting,
@@ -240,15 +240,22 @@ def test_cycle_check_rejects_representatives_homology_chose(basis):
     # d1 has singular values 9.0e9, 1.9 and 1.3e-7; the relative rank
     # cutoff, 90, swallows the genuine 1.9, so homology reports betti
     # [2, 2] instead of [1, 1] and one of its own degree-1 representatives
-    # is no cycle.  The cycle check is the only guard against it.
+    # is no cycle.  The cycle check is the only guard against it, and it
+    # reports the misread rank as homology's, not as a bad supplied basis.
     g0 = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
     image = g0 @ np.diag([3e4, 1 / 3e4]).astype(complex) @ np.linalg.inv(g0)
     tc = twist(circle(), Representation.from_images([image]), basis)
     hd = homology(tc)
     assert hd.betti == [2, 2]
+    with pytest.raises(HomologyError,
+                       match=r"degree 1: the homology representatives are not cycles "
+                             r"\(defect 1\.9\d*e\+00\); the rank cutoff, tol times the "
+                             r"largest singular value, dropped a genuine singular value"):
+        torsion_of(tc, hd)
+    # the same vectors supplied by the caller are a bad basis
     with pytest.raises(BadHomologyBasisError,
                        match=r"degree 1: homology vectors are not cycles \(defect 1\.9"):
-        torsion_of(tc, hd)
+        torsion_of(tc, hd, hd.h_basis)
 
 
 def test_rejects_dependent_classes(basis):
