@@ -71,7 +71,6 @@ from .errors import (
     DiskSumError,
     HomologyError,
     SequenceError,
-    TorsionworksError,
     TransportError,
 )
 from .linalg import DEFAULT_TOL, DEFECT_TOL, PASS_TOL
@@ -245,29 +244,6 @@ def _place(mats, tc: TwistedChainComplex, maps):
 def _zero_maps(cells, d):
     return [np.zeros((cells[p - 1] * d, cells[p] * d), dtype=complex)
             for p in range(1, len(cells))]
-
-
-def placed_complex(ds: DiskSumResult, tc1: TwistedChainComplex,
-                   tc2: TwistedChainComplex) -> TwistedChainComplex:
-    """The twisted complex of ``ds.total``, assembled from its factors' blocks.
-
-    Every group-ring entry of the glued boundary comes from exactly one
-    factor, so each factor's twisted boundary is written at the
-    coordinates its cell maps give; the result equals
-    ``twist(ds.total, rep, basis)`` entry for entry.  The columns of a
-    glued boundary split between the factors, so the glued maps compose
-    to the factors' compositions, which ``twist`` checked.  This serves
-    a single pair of ``disk_sum``; a chain is placed once, by
-    ``verify_multiplicativity``, with the same writer, and each partial
-    sum's complex is a leading block of that placement with the same bits
-    as this function's output.
-    """
-    d = tc1.d
-    cells = ds.total.cells
-    mats = _zero_maps(cells, d)
-    for tc, maps in zip((tc1, tc2), ds.cell_maps):
-        _place(mats, tc, maps)
-    return TwistedChainComplex(d, [m * d for m in cells], mats)
 
 
 def _class_coordinates(vectors, h, boundary):
@@ -556,15 +532,14 @@ def _glued_chain(factors, reps, tol: float):
     layout of the whole sum is computed once, from the factors' cell
     counts, and each factor's twisted blocks are written once into one
     placement of it; the complex of the partial sum of 0..k is a copy of
-    that placement's leading block, the same bits as ``placed_complex``
-    gives.  A factor is checked as ``disk_sum`` and ``free_product_rep``
-    check it, connectivity first, then its representation's target, rank
-    and generator count against the first factor's, just before it is
-    twisted; the partial sums, built here, are not checked again.  The
-    first factor and the disk are twisted with the second factor, each
-    partial sum's homology is taken at its step, and the partial sum is
-    the next step's left factor.  Every complex is twisted through the
-    fixed sl2 basis ``orthonormal_sl2_basis``.
+    that placement's leading block.  A factor is checked as ``disk_sum``
+    and ``free_product_rep`` check it, connectivity first, then its
+    representation's target, rank and generator count against the first
+    factor's, just before it is twisted; the partial sums, built here,
+    are not checked again.  The first factor and the disk are twisted
+    with the second factor, each partial sum's homology is taken at its
+    step, and the partial sum is the next step's left factor.  Every
+    complex is twisted through the fixed sl2 basis ``orthonormal_sl2_basis``.
     """
     cell_maps, cells, generators = _layout(factors)
     first = reps[0]
@@ -610,82 +585,38 @@ def analyze_disk_sum(m1: CwComplexData, rep1: Representation,
 
 @dataclass
 class MvIdentityReport:
-    """Results of checking the gluing formula on random basis draws."""
+    """The residual of the gluing formula in canonical bases."""
 
     dims: list[int]
-    draws: int
-    residuals: list[float]
+    residual: float
     dimension_tail: tuple[int, int, int, int]
     tolerance: float
-    seed: int
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals)
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
+        return self.residual <= self.tolerance
 
 
-def _sequence_determinants(dets_m, dets_1, dets_2, dets_d):
-    """Every space's determinant from per-degree ones in H(M), H(M1), H(M2)
-    and H(D); a direct-sum space's is the product of its factors'."""
-    out = []
-    for p, d in enumerate(dets_m):
-        d1, d2 = (f[p] if p < len(f) else 1.0 for f in (dets_1, dets_2))
-        out += [d, d1 * d2, dets_d[p] if p < len(dets_d) else None]
-    return out
-
-
-# draws evaluated per pass of verify_mv_identity, which bounds the size of
-# its (N, k, k) stacks of mixes
-DRAW_CHUNK = 256
-
-
-def verify_mv_identity(pair: GluedPair, draws: int = 10, seed: int = 0,
-                       tol: float = DEFAULT_TOL,
+def verify_mv_identity(pair: GluedPair, tol: float = DEFAULT_TOL,
                        pass_tol: float = PASS_TOL) -> MvIdentityReport:
-    """Check T(M1) T(M2) = T(M) T(D) T(sequence) on ``draws`` >= 1 random bases.
+    """Check T(M1) T(M2) = T(M) T(D) T(sequence) in canonical bases.
 
-    The sequence and each complex's torsion are taken once, in canonical
-    bases.  Each draw takes a random mix (``linalg.random_mixes``) per
-    nonzero degree of M1, M2, M and D, in the rng order draw by draw, then
-    M1, M2, M and D, then degree by degree, so a seed gives the same draws
-    for any DRAW_CHUNK.  A pass takes DRAW_CHUNK draws as (N, k, k) stacks
-    and one stacked determinant per stack; the draws enter by those
-    determinants alone.  Each torsion is ``rescaled`` by its own, and the
-    corrective term is ``seq.canonical`` rescaled by them as
-    ``corrective_term`` would be by the mixes, a direct-sum space's
-    determinant being the product of its factors'.
-
-    In exact arithmetic a draw's residual is the canonical one, since the
-    det(C_1) det(C_2) factors cancel on both sides.  What the draws check
-    is that the homology exponents and the reference exponents of
-    ``rescaled`` agree in floating point.
+    The sequence and the four torsions are taken once, in canonical
+    bases, and the residual is |T1 T2 - Tm Td Tseq| / |T1 T2|.  Every
+    other choice of bases gives the same residual in exact arithmetic: a
+    change of basis multiplies a torsion by a power of its determinant
+    (Milnor, *Whitehead torsion*, section 3), and the det(C_1) det(C_2)
+    factors cancel on both sides.  A NaN residual fails.
     """
-    if draws < 1:
-        raise TorsionworksError(f"verify_mv_identity needs at least one draw, got {draws}")
-    rng = np.random.default_rng(seed)
     seq = mv_sequence(pair, tol=tol)
-    hds = (pair.hd1, pair.hd2, pair.hdm, pair.hdd)
-    canonical = [torsion_of(tc, hd, tol=tol) for tc, hd in
-                 zip((pair.tc1, pair.tc2, pair.tcm, pair.tcd), hds)]
-    sizes = [k for hd in hds for k in hd.betti]
-    residuals: list[float] = []
-    for start in range(0, draws, DRAW_CHUNK):
-        n = min(DRAW_CHUNK, draws - start)
-        # a 0 x 0 stack's determinants are ones, so every value is a length-n array
-        stacked = iter(np.linalg.det(mixes) for mixes in linalg.random_mixes(sizes, n, rng))
-        d1, d2, dm, dd = [[next(stacked) for _ in hd.betti] for hd in hds]
-        t1, t2, tm, td = (rescaled(t, d, 1).value
-                          for t, d in zip(canonical, (d1, d2, dm, dd)))
-        th = rescaled(seq.canonical, _sequence_determinants(dm, d1, d2, dd), -1).value
-        lhs = t1 * t2
-        residuals += (np.abs(lhs - tm * td * th) / np.abs(lhs)).tolist()
+    t1, t2, tm, td = (torsion_of(tc, hd, tol=tol).value for tc, hd in
+                      ((pair.tc1, pair.hd1), (pair.tc2, pair.hd2),
+                       (pair.tcm, pair.hdm), (pair.tcd, pair.hdd)))
+    lhs = t1 * t2
+    residual = abs(lhs - tm * td * seq.canonical.value) / abs(lhs)
     n0 = (pair.hd1.betti[0], pair.hd2.betti[0], pair.hdm.betti[0], pair.hdd.betti[0])
-    return MvIdentityReport(dims=seq.dims, draws=draws, residuals=residuals,
-                            dimension_tail=n0, tolerance=pass_tol, seed=seed)
+    return MvIdentityReport(dims=seq.dims, residual=residual, dimension_tail=n0,
+                            tolerance=pass_tol)
 
 
 @dataclass

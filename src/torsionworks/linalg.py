@@ -92,12 +92,6 @@ def empty_matrix(rows, cols=0):
     return np.zeros((rows, cols), dtype=complex)
 
 
-def operator_norm(a):
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
 @np.errstate(over="ignore")
 def frobenius_norm(a):
     """Frobenius norm, an upper bound on the 2-norm (0 when ``a`` is empty).
@@ -208,36 +202,23 @@ def nonzero_composition(maps, tol):
     return None
 
 
-def random_mixes(sizes, n, rng):
-    """``n`` draws of a random k x k matrix normal + 1j normal + 3I for each
-    k in ``sizes``, as one (n, k, k) stack per size.
-
-    The shift by 3I keeps each mix well conditioned.  The normals come
-    from one call to ``rng``, in the order of drawing each mix's real
-    parts, then its imaginary parts, size by size within a draw and draw
-    by draw; so n = 1 and a single size is one mix, and the stacks are,
-    bit for bit, what that many single draws give in that order.  A size
-    0 draws nothing.
-    """
-    widths = [2 * k * k for k in sizes]
-    normals = rng.standard_normal((n, sum(widths)))
-    stacks, start = [], 0
-    for k, width in zip(sizes, widths):
-        parts = normals[:, start:start + width].reshape(n, 2, k, k)
-        mix = parts[:, 0] + 1j * parts[:, 1]
-        mix += 3.0 * np.eye(k)
-        stacks.append(mix)
-        start += width
-    return stacks
-
-
 def random_recombination(blocks, rng):
-    """Each column block times its own random mix (``random_mixes``).
+    """Each column block times its own random k x k mix, normal + 1j
+    normal + 3I; the shift by 3I keeps the mix well conditioned.
 
-    Empty blocks are kept as they are and draw nothing from ``rng``.
+    A mix's real parts are drawn before its imaginary parts, in one call
+    to ``rng``.  Empty blocks are kept as they are and draw nothing.
     """
-    return [block @ random_mixes([block.shape[1]], 1, rng)[0][0] if block.shape[1] else block
-            for block in blocks]
+    out = []
+    for block in blocks:
+        k = block.shape[1]
+        if k:
+            real, imag = rng.standard_normal((2, k, k))
+            mix = real + 1j * imag
+            mix += 3.0 * np.eye(k)
+            block = block @ mix
+        out.append(block)
+    return out
 
 
 def svd_rank(sv, tol, check_ambiguity=False):

@@ -200,13 +200,11 @@ class TorsionResult:
     that ``homology`` computed unless the caller passed
     ``boundary_bases`` (``mv_sequence`` passes named vectors).
     Each determinant depends on that choice of b_p; the value, their
-    alternating product with exponent (-1)^(p+1), does not.  After
-    ``rescaled`` by length-N arrays of determinants, the value and those
-    degrees' determinants are length-N arrays.
+    alternating product with exponent (-1)^(p+1), does not.
     """
 
-    value: complex | np.ndarray
-    per_degree_determinants: list[complex | np.ndarray]
+    value: complex
+    per_degree_determinants: list[complex]
 
 
 def torsion(tc, split: HomologySplitting) -> TorsionResult:
@@ -237,10 +235,8 @@ def rescaled(result: TorsionResult, dets, sign: int) -> TorsionResult:
     for the identity.  A homology basis change h_p -> h_p C_p (``sign`` 1)
     multiplies the value by det(C_p)^((-1)^p), a reference basis change
     (``sign`` -1) by det(C_p)^((-1)^(p+1)), and D_p by det(C_p)^(-sign).
-    An entry may be a length-N array, the determinants of N changes of
-    basis evaluated at once: the value and D_p then become length-N
-    arrays.  Missing trailing entries are the identity; more entries than
-    degrees raise DimensionMismatchError, a zero or non-finite determinant
+    Missing trailing entries are the identity; more entries than degrees
+    raise DimensionMismatchError, a zero or non-finite determinant
     SplittingError.
     """
     value, out = result.value, list(result.per_degree_determinants)
@@ -250,12 +246,9 @@ def rescaled(result: TorsionResult, dets, sign: int) -> TorsionResult:
     for p, det in enumerate(dets):
         if det is None:
             continue
-        # one change of basis gives a complex, N of them an array
-        if not (det != 0 and cmath.isfinite(det) if isinstance(det, complex)
-                else (np.isfinite(det) & (det != 0)).all()):
-            bad = np.ravel(det)[np.flatnonzero(~np.isfinite(det) | (det == 0))[0]]
+        if not (det != 0 and cmath.isfinite(det)):
             raise SplittingError(
-                f"degree {p}: singular change of basis (determinant {complex(bad)})")
+                f"degree {p}: singular change of basis (determinant {complex(det)})")
         value = value * det ** (sign * (-1) ** p)
         out[p] = out[p] * det ** -sign
     return TorsionResult(value=value, per_degree_determinants=out)

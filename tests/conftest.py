@@ -44,6 +44,49 @@ def glued_data(m1, rep1, m2, rep2):
     return ds.total, free_product_rep(rep1, rep2, ds)
 
 
+def placed_complex(ds, tc1, tc2):
+    """The twisted complex of the disk sum ``ds``, placed pair by pair from
+    its factors' complexes: each factor's twisted boundary is written at
+    the coordinates its cell maps give.  This is the pairwise reference
+    for the one placement by which a chain is glued."""
+    from torsionworks.complexes import TwistedChainComplex
+    from torsionworks.glue import _place, _zero_maps
+    d, cells = tc1.d, ds.total.cells
+    mats = _zero_maps(cells, d)
+    for tc, maps in zip((tc1, tc2), ds.cell_maps):
+        _place(mats, tc, maps)
+    return TwistedChainComplex(d, [m * d for m in cells], mats)
+
+
+def _direct_sum(a, b):
+    out = np.zeros((len(a) + len(b),) * 2, dtype=complex)
+    out[:len(a), :len(a)], out[len(a):, len(a):] = a, b
+    return out
+
+
+def drawn_residual(pair, rng):
+    """The gluing identity's residual in random bases: a random mix per
+    nonzero homology degree of M1, M2, M and D, each torsion rebased by its
+    mixes, and the corrective term taken in the sequence's bases so drawn,
+    a direct-sum space's the factors' mixes block-diagonally."""
+    from torsionworks.glue import corrective_term, mv_sequence
+    from torsionworks.linalg import random_recombination
+    from torsionworks.torsion import rebased, torsion_of
+    complexes = ((pair.tc1, pair.hd1), (pair.tc2, pair.hd2),
+                 (pair.tcm, pair.hdm), (pair.tcd, pair.hdd))
+    mixes = [random_recombination([np.eye(k, dtype=complex) for k in hd.betti], rng)
+             for _, hd in complexes]
+    t1, t2, tm, td = (rebased(torsion_of(tc, hd), c, 1).value
+                      for (tc, hd), c in zip(complexes, mixes))
+    c1, c2, cm, cd = mixes
+    bases = []
+    for p, c in enumerate(cm):
+        a, b = (f[p] if p < len(f) else np.zeros((0, 0)) for f in (c1, c2))
+        bases += [c, _direct_sum(a, b), cd[p] if p < len(cd) else None]
+    th = corrective_term(mv_sequence(pair), bases).value
+    return abs(t1 * t2 - tm * td * th) / abs(t1 * t2)
+
+
 def block_ad(g0, cells, basis=None):
     """Block-diagonal adjoint change of coordinates, one block per cell."""
     basis = basis or orthonormal_sl2_basis()

@@ -21,7 +21,7 @@ from torsionworks.glue import (
     verify_multiplicativity,
     verify_mv_identity,
 )
-from torsionworks.linalg import matrix_rank, operator_norm
+from torsionworks.linalg import matrix_rank
 from torsionworks.scenes import (
     circle,
     disk,
@@ -145,11 +145,11 @@ def test_criterion_5_mv_identity_with_corrective_term():
     worst = 0.0
     for r2 in (diag_rep(3.0), conj3):
         pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), r2)
-        outcome = verify_mv_identity(pair, draws=10, seed=5)
-        worst = max(worst, outcome.max_residual)
+        outcome = verify_mv_identity(pair)
+        worst = max(worst, outcome.residual)
         assert outcome.passed
-    report(5, "mv-identity-random-bases", worst <= 1e-6,
-           f"max rel residual over 10 draws = {worst:.2e}")
+    report(5, "mv-identity-canonical-bases", worst <= 1e-6,
+           f"max rel residual = {worst:.2e}")
 
 
 def test_criterion_6_corrective_term_vanishing():
@@ -191,7 +191,7 @@ def test_criterion_8_exactness_suite():
         for p in range(1, len(seq.dims)):
             dout, din = seq.boundary(p), seq.boundary(p + 1)
             if dout.shape[1] and din.shape[1]:
-                worst_comp = max(worst_comp, operator_norm(dout @ din))
+                worst_comp = max(worst_comp, np.linalg.norm(dout @ din, 2))
             rank_in = matrix_rank(din, 1e-8)
             kernel = seq.dims[p] - matrix_rank(dout, 1e-8)
             assert rank_in == kernel, (name, p)

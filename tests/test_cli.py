@@ -9,8 +9,7 @@ import pytest
 
 from torsionworks.algebra import Representation, Target
 from torsionworks.cli import main
-from torsionworks.errors import TorsionworksError
-from torsionworks.glue import analyze_disk_sum, verify_mv_identity
+from torsionworks.glue import analyze_disk_sum
 from torsionworks.scenes import circle, point, scene_text, wedge_of_circles
 
 from conftest import diag_rep, glued_data, random_sl2, sphere
@@ -309,10 +308,34 @@ def test_verify_mv_needs_a_random_basis(scene_dir, capsys, draws):
     assert code == 1
     assert out == ""
     assert err == f"error: --random-bases must be at least 1, got {draws}\n"
-    pair = analyze_disk_sum(wedge_of_circles(2), diag_rep(2.0, 3.0),
-                            wedge_of_circles(2), diag_rep(2.0, 3.0))
-    with pytest.raises(TorsionworksError, match="at least one draw"):
-        verify_mv_identity(pair, draws=int(draws))
+
+
+def test_verify_mv_records_a_negative_seed(scene_dir, capsys):
+    code, out, err = run_cli(capsys, "verify-mv", scene_dir["circle2"], scene_dir["circle3"],
+                             "--json", "--seed=-1")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["seed"] == -1
+    assert report["verdict"] == "pass"
+
+
+def test_verify_mv_random_bases_and_seed_are_only_recorded(scene_dir, capsys):
+    code, out, _ = run_cli(capsys, "verify-mv", "--help")
+    assert code == 0
+    assert " ".join(out.split()).count("recorded in the report only") == 2
+    reports = {}
+    for bases, seed in (("1", "0"), ("1000000", "0"), ("1", "9")):
+        code, out, _ = run_cli(capsys, "verify-mv", scene_dir["wedge2"], scene_dir["circle3"],
+                               "--json", "--random-bases", bases, "--seed", seed)
+        assert code == 0
+        reports[bases, seed] = json.loads(out)
+    first = reports["1", "0"]
+    assert "residuals" not in first
+    # the first report is popped first, so each compares with what it left
+    for (bases, seed), report in reports.items():
+        assert report.pop("random_bases") == int(bases)
+        assert report.pop("seed") == int(seed)
+        assert report == first
 
 
 # ---------------------------------------------------------------------------

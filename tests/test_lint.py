@@ -114,3 +114,14 @@ def test_a_chain_glues_no_partial_sum_pairwise():
              and node.name in {"verify_multiplicativity", "_glued_chain"}
              for line, name in named(node) if name in CHAIN_BANNED]
     assert found == []
+
+
+# the gluing identity is checked once, in canonical bases: its verifier in
+# ``glue`` draws nothing at random
+RANDOM_BANNED = {"default_rng", "standard_normal", "random_mixes", "DRAW_CHUNK"}
+
+
+def test_glue_draws_nothing_at_random():
+    tree = ast.parse((SRC / "glue.py").read_text())
+    found = [f"glue.py:{line}: {name}" for line, name in named(tree) if name in RANDOM_BANNED]
+    assert found == []

@@ -16,13 +16,12 @@ from torsionworks.glue import (
     GluedPair,
     disk_sum,
     free_product_rep,
-    placed_complex,
     verify_multiplicativity,
 )
 from torsionworks.linalg import DEFAULT_TOL
 from torsionworks.scenes import circle, disk, wedge_of_circles
 
-from conftest import bouquet, diag_rep, random_sl2, sphere, torus
+from conftest import bouquet, diag_rep, placed_complex, random_sl2, sphere, torus
 
 
 def factored(cw, rep, tol):

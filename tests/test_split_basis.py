@@ -330,16 +330,14 @@ def test_verify_mv_identity_builds_one_sequence(solve_calls, monkeypatch):
     for (m1, r1), (m2, r2) in ((models[0], models[0]), (models[2], models[4]),
                                (models[6], models[8])):
         pair = analyze_disk_sum(m1, r1, m2, r2)
-        for draws in (1, 10):
-            built.clear()
-            splits.clear()
-            report = verify_mv_identity(pair, draws=draws, seed=1)
-            assert report.passed, (m1.name, m2.name)
-            assert len(built) == 1
-            # the four complexes and the sequence, each split once; every
-            # draw enters by the determinants of its coordinates
-            assert len(splits) == 5
-            assert solve_calls == []
+        built.clear()
+        splits.clear()
+        report = verify_mv_identity(pair)
+        assert report.passed, (m1.name, m2.name)
+        assert len(built) == 1
+        # the four complexes and the sequence, each split once
+        assert len(splits) == 5
+        assert solve_calls == []
 
 
 # the factors of the benchmark's chain workload, in its order

@@ -3,8 +3,7 @@
 Usage, from anywhere:
 
     python tools/paired_bench.py PARENT CHANGE --out BENCH_name.json \\
-        [--workloads chain complex cli] [--first-seed 1701] \\
-        [--draws 1 10 100 1000] [--what TEXT]
+        [--workloads chain complex cli] [--first-seed 1701] [--what TEXT]
 
 PARENT and CHANGE are the roots of two checkouts, say a ``git archive``
 of the parent commit and the working tree.  Pair i, from 1 to PAIRS,
@@ -21,10 +20,7 @@ JSON written to ``--out`` holds:
   median, the number of pairs the change won, and the share by which the
   change's median is worse than the parent's (negative when better);
 * the per-layer metrics of one traced run of TRACE_SECONDS per workload
-  and side at TRACE_SEED, parent first;
-* with ``--draws``, the median wall time of ``verify_mv_identity`` on the
-  ``cli`` workload's two scenes, in both orders, at each draw count, per
-  side, the sides alternating over DRAW_ROUNDS rounds.
+  and side at TRACE_SEED, parent first.
 
 Medians and quartiles are those of ``statistics`` (exclusive quartiles),
 rounded to 4 digits after the point.
@@ -44,38 +40,6 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 PAIRS = 10
 TRACE_SEED = 1
 TRACE_SECONDS = 12.0
-DRAW_ROUNDS = 3
-DRAW_SECONDS = 1.0
-
-# times verify_mv_identity in the checkout it runs in; argv: draw counts (JSON)
-# and the seconds to spend on each count
-DRAW_TIMING = r"""
-import json, statistics, sys, tempfile, time
-sys.path[:0] = ["benchmarks", "src"]
-from workloads import Cli
-from torsionworks.glue import analyze_disk_sum, verify_mv_identity
-from torsionworks.scenes import parse_scene
-
-counts, seconds = json.loads(sys.argv[1]), float(sys.argv[2])
-with tempfile.TemporaryDirectory() as tmp:
-    paths = Cli(0, tmp).paths
-    scenes = {}
-    for key, path in paths.items():
-        with open(path, encoding="utf-8") as fh:
-            scenes[key] = parse_scene(fh.read())
-pairs = [analyze_disk_sum(scenes[a].cw, scenes[a].rep, scenes[b].cw, scenes[b].rep)
-         for a, b in ("AB", "BA")]
-out = {}
-for n in counts:
-    times, end = [], time.perf_counter() + seconds
-    while time.perf_counter() < end or len(times) < 4:
-        for pair in pairs:
-            start = time.perf_counter()
-            verify_mv_identity(pair, draws=n, seed=len(times))
-            times.append(time.perf_counter() - start)
-    out[str(n)] = 1000.0 * statistics.median(times)
-print(json.dumps(out))
-"""
 
 
 def single_thread_env():
@@ -155,18 +119,6 @@ def summarize(runs, metrics):
     return summary
 
 
-def draw_times(checkouts, counts):
-    """Median ``verify_mv_identity`` wall time (ms) per side and draw count,
-    the median over DRAW_ROUNDS alternating rounds."""
-    rounds = {side: [] for side in SIDES}
-    for k in range(1, DRAW_ROUNDS + 1):
-        for side in order(k):
-            cmd = [sys.executable, "-c", DRAW_TIMING, json.dumps(counts), str(DRAW_SECONDS)]
-            rounds[side].append(run_json(cmd, checkouts[side]))
-    return {side: {str(n): round(statistics.median(r[str(n)] for r in rs), 4)
-                   for n in counts} for side, rs in rounds.items()}
-
-
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -174,7 +126,6 @@ def parse_args(argv):
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workloads", nargs="+", default=["chain", "complex", "cli"])
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--draws", type=int, nargs="+", default=None)
     parser.add_argument("--what", default="")
     return parser.parse_args(argv)
 
@@ -212,8 +163,6 @@ def main(argv=None):
             traced[workload][side] = {**metric_values(result),
                                       "operations": result["attempted"]}
     doc[f"traced_per_operation_seed_{TRACE_SEED}"] = traced
-    if args.draws:
-        doc["verify_mv_identity_ms"] = draw_times(checkouts, args.draws)
     doc["runs"] = runs
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0

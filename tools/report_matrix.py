@@ -5,8 +5,7 @@ over ``scenes/`` (four scenes give 164 commands):
 
 * per scene: ``torsion`` in canonical mode, in file mode and with ``--json``;
 * per ordered pair: ``verify-mv``, ``verify-mv --json --seed 3``,
-  ``verify-mv --json --random-bases 300 --seed 5`` (more draws than
-  ``glue.DRAW_CHUNK``) and ``verify-theorem1``;
+  ``verify-mv --json --random-bases 300 --seed 5`` and ``verify-theorem1``;
 * per ordered triple: ``verify-theorem1 --json``;
 * per ordering of all the scenes: ``verify-theorem1 --json``, a chain
   whose glued partial sums are each reused as the next left factor.
