@@ -254,10 +254,12 @@ def killing_form_adjoint(rep, basis, word):
     return out
 
 
+# the filter takes the 2 x 2 determinant by its formula: LAPACK's warns of a
+# division by zero when the first column holds only zero or subnormal entries
 sl2_strategy = st.tuples(
     *[st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)) for _ in range(4)]
 ).map(lambda t: np.array(t, dtype=complex).reshape(2, 2)).filter(
-    lambda m: abs(np.linalg.det(m)) > 0.1
+    lambda m: abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) > 0.1
 ).map(lambda m: m / np.sqrt(np.linalg.det(m)))
 
 

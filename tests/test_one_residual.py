@@ -80,15 +80,18 @@ def test_nan_residual_fails():
 
 
 @pytest.mark.parametrize("entry", [0.0, np.nan, np.inf, complex(0, -np.inf)])
-def test_singular_determinant_names_the_degree(entry):
+@pytest.mark.parametrize("degree", [1, 3])
+def test_singular_determinant_names_the_degree(entry, degree):
+    # degree 1 of the middle complex, or degree 3 of the long exact sequence
     pair = glued(MODELS[1], MODELS[1])
     assert pair.hdm.betti == [1, 4]
-    det = complex(entry)
-    with pytest.raises(SplittingError, match="degree 1: singular change of basis"):
-        rescaled(torsion_of(pair.tcm, pair.hdm), [None, det], 1)
-    seq = mv_sequence(pair)
-    with pytest.raises(SplittingError, match="degree 3: singular change of basis"):
-        rescaled(seq.canonical, [None, None, None, det], -1)
+    if degree == 1:
+        torsion, sign = torsion_of(pair.tcm, pair.hdm), 1
+    else:
+        torsion, sign = mv_sequence(pair).canonical, -1
+    dets = [None] * degree + [complex(entry)]
+    with pytest.raises(SplittingError, match=f"degree {degree}: singular change of basis"):
+        rescaled(torsion, dets, sign)
 
 
 def test_zero_column_is_a_singular_change_of_basis():
