@@ -46,6 +46,7 @@ from .glue import (
     corrective_term,
     disk_sum,
     free_product_rep,
+    gluing_torsion,
     mv_sequence,
     transport_bases,
     verify_multiplicativity,

@@ -22,20 +22,27 @@ it is a small matrix with orthogonal columns, and the connecting map
 pulls back along it by projection.
 
 The homology long exact sequence, read right to left, is the acyclic
-complex used here, of 3(n + 1) spaces for M of dimension n:
+complex of 3(n + 1) spaces, for M of dimension n:
 
     space 3p   : H_p(M)
     space 3p+1 : H_p(M1) (+) H_p(M2)
     space 3p+2 : H_p(D)          (zero above degree 0)
 
-``MvSequence`` is that sequence as a chain complex with d = 1 and its
-torsion, built and split once per pair in canonical homology bases.  Its
-torsion in any other bases, passed to ``corrective_term`` as coordinates
-in the canonical ones, is the corrective term.  A basis enters it only
-through its determinant, so ``transport_bases`` carries every basis as
-one: it cancels the corrective term with a single scalar, the
-determinant of the right factor's basis in its first degree with
-homology, which reduces the gluing formula
+Its torsion in canonical homology bases is the corrective term, and a
+basis enters it only through its determinant (Milnor, *Whitehead
+torsion*, section 3).  D is a point, so above degree 1 the sequence only
+places the factors' homology, and all its information sits in the
+degree-0 map alpha_*.  ``gluing_torsion`` takes the corrective term of
+each chain step from that degree-0 block, with H(M) in a basis assembled
+from the factors' bases, and restates the exactness of the whole
+sequence without building it.  ``MvSequence`` is the whole sequence as
+a chain complex with d = 1, built, checked for exactness and split once
+per pair by ``mv_sequence``; it serves ``verify_mv_identity`` and the
+tests, where ``corrective_term`` takes its torsion in other bases from
+their coordinates in the canonical ones.  ``transport_bases`` carries
+every basis as its determinant: it cancels the corrective term with a
+single scalar, the determinant of the right factor's basis in its first
+degree with homology, which reduces the gluing formula
 
     T(M1) * T(M2) = T(M) * T(D) * (corrective term)
 
@@ -44,6 +51,7 @@ to plain multiplicativity T(M) = T(M1) * T(M2).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +78,7 @@ from .errors import (
     DimensionMismatchError,
     DiskSumError,
     HomologyError,
+    RankAmbiguityError,
     SequenceError,
     TransportError,
 )
@@ -246,16 +255,18 @@ def _zero_maps(cells, d):
             for p in range(1, len(cells))]
 
 
-def _class_coordinates(vectors, h, boundary):
+def _class_coordinates(vectors, h, boundary, degree=None):
     """Coordinates ``h^H v`` of cycle columns v in the basis ``h`` modulo
     boundaries: ``homology`` chooses ``h`` and ``boundary`` orthonormal and
-    mutually orthogonal.  A column with a residue off both is rejected."""
+    mutually orthogonal.  A column with a residue off both is rejected,
+    with ``degree`` named when it is given."""
     coords = h.conj().T @ vectors
     residue = vectors - h @ coords - boundary @ (boundary.conj().T @ vectors)
     defect = linalg.relative_defect(residue, vectors)
     if not defect <= DEFECT_TOL:
+        where = "" if degree is None else f"degree {degree}: "
         raise SequenceError(
-            f"vector is not a cycle class in the given basis (defect {defect:.3e})"
+            f"{where}vector is not a cycle class in the given basis (defect {defect:.3e})"
         )
     return coords
 
@@ -452,6 +463,136 @@ def corrective_term(seq: MvSequence, bases=None) -> TorsionResult:
     return rebased(seq.canonical, bases, -1)
 
 
+def _lifts(pair: GluedPair, ends, kernel, coordinates):
+    """The cycles s_1(v) + s_2(v) of M for the columns v of ``kernel``.
+
+    ``ends[i]`` is the image (v, -v) of the disk's classes at cell 0 of
+    factor i, s_i the minimum-norm preimage there under factor i's
+    boundary, from its ``section[0]``, and ``coordinates[i]`` the glued
+    coordinates of factor i's chains in each degree.  A preimage whose
+    defect exceeds ``DEFECT_TOL`` raises SequenceError.
+    """
+    out = np.zeros((pair.tcm.dims[1] if pair.tcm.dimension else 0, kernel.shape[1]),
+                   dtype=complex)
+    if not kernel.shape[1]:
+        return out
+    for i, (tc, hd, y) in enumerate(zip((pair.tc1, pair.tc2), (pair.hd1, pair.hd2), ends)):
+        target = y @ kernel
+        s = hd.section[0] @ (hd.boundary_basis[0].conj().T @ target)
+        defect = linalg.relative_defect(tc.boundary(1) @ s - target, target)
+        if not defect <= DEFECT_TOL:
+            raise SequenceError(
+                f"degree 1: the lift of a disk class in factor {i + 1} has section defect "
+                f"{defect:.3e}; the sequence is not exact")
+        out[coordinates[i][1]] += s
+    return out
+
+
+def gluing_torsion(pair: GluedPair, tol: float = DEFAULT_TOL) -> TorsionResult:
+    """The torsion of ``pair``'s sequence in canonical bases, from its degree-0 block.
+
+    This is the value of ``mv_sequence(pair).canonical``, without the
+    sequence.  D is a point, so above degree 1 the sequence only places
+    the factors' homology, and its information sits in alpha_*, the class
+    coordinates of (v, -v) at cell 0 of each factor, e = dim H_0(D)
+    columns.  One SVD of alpha_* gives its rank r and, when 0 < r < e,
+    its right singular vectors V, whose last e - r columns span its
+    kernel K (V is the identity when r is 0 or e).  beta_*, the classes
+    in H_0(M) of the factors' placed degree-0 classes, kills the image of
+    alpha_*, so its rows span a complement W = beta_*^H of that image.
+
+    The sequence is split in the assembled basis A_p of H_p(M): each
+    factor's canonical basis placed, M1's first, plus the lifts
+    s_1(v) + s_2(v) of K in degree 1 (``_lifts``), and the placed
+    combinations W gives in degree 0.  Their class coordinates C_p in
+    ``pair.hdm``'s basis are the split bases of the spaces 3p, so the
+    canonical bases cost no other determinant (Milnor, *Whitehead
+    torsion*, section 3).  The factors' and the disk's degree-0 spaces
+    are split by [alpha_* V_r | W] and [K | V_r], the factors' spaces
+    above degree 0 by the identity, and the disk's are zero there.  K is
+    rebased so that its lifts are orthonormal; the rebasing enters the
+    splits of spaces 2 and 3 and cancels.  Named vectors, not SVD bases,
+    keep the torsion exact on clean pairs: point # point gives 1 to the
+    bit.
+
+    The exactness of the whole sequence is restated: a rank of alpha_*
+    too close to call, a lift with a section defect, an assembled vector
+    with a class-coordinate residue, or a C_p that is not square (a
+    count other than b_p(M)) or not independent
+    (``linalg.independent_columns``) raises SequenceError naming the
+    degree.  beta_* alpha_* vanishes once the residues do, since the two
+    placed images of a disk class cancel at the shared cell.
+    """
+    tcm, hdm, d = pair.tcm, pair.hdm, pair.tcm.d
+    degrees = tcm.dimension + 1
+    b1, b2 = (_padded(hd.h_basis, degrees) for hd in (pair.hd1, pair.hd2))
+    at1, at2 = [[_coordinates(cells, d) for cells in maps] for maps in pair.cell_maps]
+    disk_classes = pair.hdd.h_basis[0]
+    e = disk_classes.shape[1]
+
+    ends = []
+    for sign, tc in ((1, pair.tc1), (-1, pair.tc2)):
+        y = np.zeros((tc.dims[0], e), dtype=complex)
+        y[:d] = sign * disk_classes
+        ends.append(y)
+    alpha = np.vstack([_class_coordinates(y, hd.h_basis[0], hd.boundary_basis[0], 0)
+                       for y, hd in zip(ends, (pair.hd1, pair.hd2))])
+    r, v = 0, np.eye(e, dtype=complex)
+    if alpha.size:
+        _, sv, vh = np.linalg.svd(alpha)
+        try:
+            r = linalg.svd_rank(sv, tol, check_ambiguity=True)
+        except RankAmbiguityError as exc:
+            raise SequenceError(f"degree 0: {exc}; the sequence is not exact") from None
+        if 0 < r < e:
+            v = vh.conj().T
+    kernel = v[:, r:]
+    lifts = _lifts(pair, ends, kernel, (at1, at2))
+    # the lifts of an orthonormal K need not be orthogonal; rebasing K by
+    # the inverse root of their Gram matrix makes them orthonormal, so the
+    # Gram certificate decides C_1, and the rebasing cancels between the
+    # split bases of spaces 2 and 3.  Near-dependent lifts are left as they
+    # are, for the rank SVD of C_1's check to judge.
+    lam, q = np.linalg.eigh(lifts.conj().T @ lifts)
+    if lam.size and not lam[0] <= tol * lam[-1]:
+        g = q / np.sqrt(lam)
+        kernel, lifts = kernel @ g, lifts @ g
+
+    dets = [complex(1.0)] * (3 * degrees)
+    for p in range(degrees):
+        k1, k2 = b1[p].shape[1], b2[p].shape[1]
+        a = np.zeros((tcm.dims[p], k1 + k2 + (lifts.shape[1] if p == 1 else 0)),
+                     dtype=complex)
+        a[at1[p], :k1] = b1[p]
+        a[at2[p], k1:k1 + k2] = b2[p]
+        if p == 1:
+            a[:, k1 + k2:] = lifts
+        c = _class_coordinates(a, hdm.h_basis[p], hdm.boundary_basis[p], p)
+        count = c.shape[1] - (r if p == 0 else 0)
+        if count != hdm.betti[p]:
+            raise SequenceError(f"degree {p}: {count} assembled classes for betti "
+                                f"{hdm.betti[p]}; the sequence is not exact")
+        if p == 0:
+            complement = c.conj().T
+            dets[1] = np.linalg.det(np.hstack([alpha @ v[:, :r], complement]))
+            c = c @ complement
+        if c.size and not linalg.independent_columns(c, tol):
+            raise SequenceError(
+                f"degree {p}: the assembled classes are dependent; the sequence is not exact")
+        dets[3 * p] = np.linalg.det(c)
+    dets[2] = np.linalg.det(np.hstack([kernel, v[:, :r]]))
+
+    # dets holds det(M_q) of each split basis M_q; the torsion keeps 1 / det(M_q)
+    value = complex(1.0)
+    for q, det in enumerate(dets):
+        det = complex(det)
+        if det == 0 or not cmath.isfinite(det):
+            raise SequenceError(f"space {q}: singular split basis; the sequence is not exact")
+        value *= det ** ((-1) ** q)
+        dets[q] = 1.0 / det
+    return TorsionResult(value=value, per_degree_determinants=dets)
+
+
 # ---------------------------------------------------------------------------
 # basis transport
 # ---------------------------------------------------------------------------
@@ -463,7 +604,7 @@ class TransportedBases:
     A basis enters a torsion only through the determinant of its
     coordinates in the canonical one, so each transported basis is that
     determinant: ``dets_m1[p]`` and ``dets_m2[p]`` for the bases of
-    H_p(M1) and H_p(M2) in ``seq.h_factors[0][p]`` and ``[1][p]``, None
+    H_p(M1) and H_p(M2) in ``h_factors[0][p]`` and ``[1][p]``, None
     for the canonical basis itself.  ``residual`` is the corrective term
     in the given bases of the M and D spaces and the canonical factor
     bases; one entry carries the power of it that cancels it, so
@@ -477,9 +618,13 @@ class TransportedBases:
     corrective: TorsionResult
 
 
-def transport_bases(seq: MvSequence, dets=None) -> TransportedBases:
+def transport_bases(canonical: TorsionResult, h_factors, dets=None) -> TransportedBases:
     """Choose factor bases making the corrective term 1, one scalar per step.
 
+    ``canonical`` is the sequence's torsion in canonical bases, one
+    per-degree determinant per space, as ``mv_sequence`` and
+    ``gluing_torsion`` give it; ``h_factors`` are the factors' canonical
+    homology bases, M1's first, as ``MvSequence.h_factors`` holds them.
     ``dets[q]`` is the determinant of the given basis of space q, as
     ``rescaled`` takes it (``torsion.determinants`` turns coordinates into
     these); missing trailing entries are the identity and the direct-sum
@@ -490,15 +635,16 @@ def transport_bases(seq: MvSequence, dets=None) -> TransportedBases:
     compounds down a chain.  When M2 is acyclic, M1's first nonzero
     degree takes it; with no homology in either factor, kappa must be 1.
     """
+    spaces = len(canonical.per_degree_determinants)
     dets = list(dets or ())
-    dets += [None] * (len(seq.dims) - len(dets))
-    for q in range(1, len(seq.dims), 3):
+    dets += [None] * (spaces - len(dets))
+    for q in range(1, spaces, 3):
         if dets[q] is not None:
             raise TransportError(f"space {q}: a direct-sum space takes no given basis")
-    residual = rescaled(seq.canonical, dets, -1).value
+    residual = rescaled(canonical, dets, -1).value
 
-    dets_m1, dets_m2 = ([None] * len(h) for h in seq.h_factors)
-    for h, out in zip(reversed(seq.h_factors), (dets_m2, dets_m1)):
+    dets_m1, dets_m2 = ([None] * len(h) for h in h_factors)
+    for h, out in zip(reversed(h_factors), (dets_m2, dets_m1)):
         p = next((p for p, hp in enumerate(h) if hp.shape[1]), None)
         if p is not None:
             # a basis of determinant c in space 3p+1 multiplies the
@@ -512,7 +658,7 @@ def transport_bases(seq: MvSequence, dets=None) -> TransportedBases:
                 "no nonzero direct-sum space"
             )
     return TransportedBases(dets_m1=dets_m1, dets_m2=dets_m2, residual=residual,
-                            corrective=rescaled(seq.canonical, dets, -1))
+                            corrective=rescaled(canonical, dets, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -683,13 +829,17 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     and generator count) run just before its twist, as gluing it pairwise
     would run them.  Each complex of the chain is twisted and factored
     once: each glued space is carried forward as the next step's left
-    factor, and one disk serves every step.  Each sequence is built in canonical bases,
-    and the basis of H(M) travels down the chain as one determinant per
-    degree, of its coordinates in the canonical one: those of the
-    classes of ``h_m`` at the top (None when it is omitted), then the
-    left factor's transported ones below.  Each torsion is taken once,
-    in canonical bases, and ``rescaled`` by the transported determinants:
-    a step's ``left_torsion`` is the ``total_torsion`` of the next step.
+    factor, and one disk serves every step.  No Mayer-Vietoris sequence
+    is built: each step's corrective term, in canonical bases, comes from
+    ``gluing_torsion``, the sequence's degree-0 block with H(M) in a
+    basis assembled from the factors' bases, which restates the
+    sequence's exactness.  The basis of H(M) travels down the chain as
+    one determinant per degree, of its coordinates in the canonical one:
+    those of the classes of ``h_m`` at the top (None when it is omitted),
+    then the left factor's transported ones below.  Each torsion is taken
+    once, in canonical bases, and ``rescaled`` by the transported
+    determinants: a step's ``left_torsion`` is the ``total_torsion`` of
+    the next step.
     """
     if len(factors) < 2:
         raise DiskSumError("need at least two factors")
@@ -713,10 +863,10 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     t_total = total_torsion
     for k in range(len(factors) - 1, 0, -1):
         pair = pairs[k - 1]
-        seq = mv_sequence(pair, tol=tol)
-        dets = [None] * len(seq.dims)
+        canonical = gluing_torsion(pair, tol=tol)
+        dets = [None] * len(canonical.per_degree_determinants)
         dets[0::3] = dets_m
-        transported = transport_bases(seq, dets)
+        transported = transport_bases(canonical, (pair.hd1.h_basis, pair.hd2.h_basis), dets)
         t_left = rescaled(torsion_of(pair.tc1, pair.hd1, tol=tol), transported.dets_m1, 1).value
         t_right = rescaled(torsion_of(pair.tc2, pair.hd2, tol=tol), transported.dets_m2, 1).value
         steps.append(MultiplicativityStep(

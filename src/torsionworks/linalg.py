@@ -47,6 +47,7 @@ whenever the whole is accepted, the block is too.  The torsion's
 determinant is then taken of the matrix that was certified.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -87,26 +88,43 @@ UNDERFLOW_FLOOR = 1e-150
 # for a subnormal divisor
 SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
+# a total of nonnegative squares at most this leaves every square and every
+# partial sum of them, in any order, below the largest float
+SQUARES_LIMIT = float(np.finfo(float).max) / 2
+
 
 def empty_matrix(rows, cols=0):
     return np.zeros((rows, cols), dtype=complex)
 
 
-@np.errstate(over="ignore")
+def _sum_of_squares(a):
+    """The sum of squared moduli of the entries of ``a``, as
+    ``numpy.linalg.norm`` sums it, bit for bit: a dot product of the real
+    parts plus one of the imaginary parts.  ``numpy.vdot`` takes them
+    through BLAS and, unlike ``ndarray.dot`` and the ufuncs, raises no
+    floating-point warning: an overflow gives inf and a NaN entry NaN,
+    with no ``np.errstate`` context."""
+    x = a.ravel(order="K")
+    return float(np.vdot(x.real, x.real)) + float(np.vdot(x.imag, x.imag))
+
+
 def frobenius_norm(a):
     """Frobenius norm, an upper bound on the 2-norm (0 when ``a`` is empty).
 
-    A norm below ``UNDERFLOW_FLOOR``, where squares of entries underflow,
-    or an infinite one, where they overflow, is taken again on ``a`` over
-    its largest modulus when that is finite and nonzero (over
-    ``SMALLEST_NORMAL`` when it is subnormal).
+    The norm ``numpy.linalg.norm(a)`` takes, bit for bit, with no warning
+    on overflow (``_sum_of_squares``).  A norm below ``UNDERFLOW_FLOOR``,
+    where squares of entries underflow, or an infinite one, where they
+    overflow, is taken again on ``a`` over its largest modulus when that
+    is finite and nonzero (over ``SMALLEST_NORMAL`` when it is subnormal).
     """
-    n = float(np.linalg.norm(a))
-    if n < UNDERFLOW_FLOOR or n == np.inf:
-        s = float(np.abs(a).max(initial=0.0))
-        if 0 < s < np.inf:
+    n = math.sqrt(_sum_of_squares(a))
+    if n < UNDERFLOW_FLOOR or n == math.inf:
+        # only where the squares overflowed can a modulus overflow too
+        with np.errstate(over="ignore") if n == math.inf else contextlib.nullcontext():
+            s = float(np.abs(a).max(initial=0.0))
+        if 0 < s < math.inf:
             s = max(s, SMALLEST_NORMAL)
-            n = s * float(np.linalg.norm(a / s))
+            n = s * math.sqrt(_sum_of_squares(a / s))
     return n
 
 
@@ -115,10 +133,17 @@ def _column_squares(a):
     return np.add.reduce((a.conj() * a).real, axis=0)
 
 
-# the sums with an overflow raised, or left at inf; a decorated call
-# costs less than a ``with np.errstate`` block on the checks' small matrices
-_squares_or_raise = np.errstate(over="raise", invalid="ignore")(_column_squares)
-_squares_to_inf = np.errstate(over="ignore", invalid="ignore")(_column_squares)
+def _squares_fit(a):
+    """Whether no square of an entry of ``a`` and no sum of them overflows:
+    their total, which ``numpy.vdot`` takes with no warning, is at most
+    ``SQUARES_LIMIT``.  A NaN total is not.
+
+    The same total as ``_sum_of_squares``, taken in one complex dot rather
+    than two real ones: only its bound is read, not its bits, and it runs
+    before every column norm, where the second dot and the views of the
+    real and imaginary parts would double its cost (about 3 against
+    1.5 us on the checks' small matrices)."""
+    return np.vdot(a, a).real <= SQUARES_LIMIT
 
 
 def column_norms(a):
@@ -130,21 +155,23 @@ def column_norms(a):
     (over ``SMALLEST_NORMAL`` when it is subnormal).  The sum is
     the one ``numpy.linalg.norm(a, axis=0)`` takes, bit for bit, without
     that call's argument handling, which costs more than the sum on the
-    small matrices of the checks.  An overflow raises as it happens, so
-    norms in the normal range cost no second pass.
+    small matrices of the checks.  Its ufuncs would warn on an overflow,
+    so they run bare only where ``_squares_fit`` rules one out, and an
+    ``np.errstate`` context is entered only on the rescale path.
     """
-    try:
-        n, overflowed = np.sqrt(_squares_or_raise(a)), False
-    except FloatingPointError:
-        n, overflowed = np.sqrt(_squares_to_inf(a)), True
-    # a NaN norm takes this branch too, so it cannot hide an underflowed one
-    if overflowed or not UNDERFLOW_FLOOR <= n.min(initial=UNDERFLOW_FLOOR):
+    if _squares_fit(a):
+        n = np.sqrt(_column_squares(a))
+        if UNDERFLOW_FLOOR <= n.min(initial=UNDERFLOW_FLOOR):
+            return n
+    # the rescale path; a NaN norm takes it too, so it cannot hide an
+    # underflowed one
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.sqrt(_column_squares(a))
         redo = (n < UNDERFLOW_FLOOR) | (n == np.inf)
         s = np.abs(a[:, redo]).max(axis=0, initial=0.0)
         s[(s == 0) | (s == np.inf)] = 1.0
         np.maximum(s, SMALLEST_NORMAL, out=s)
-        with np.errstate(over="ignore"):
-            n[redo] = s * np.sqrt(_squares_to_inf(a[:, redo] / s))
+        n[redo] = s * np.sqrt(_column_squares(a[:, redo] / s))
     return n
 
 
@@ -161,10 +188,7 @@ def max_column_norm(a):
     an overflow, an infinite entry or a NaN included, it is taken from
     ``column_norms``.
     """
-    try:
-        sums = _squares_or_raise(a)
-    except FloatingPointError:
-        sums = None
+    sums = _column_squares(a) if _squares_fit(a) else None
     if sums is not None and sums.size:
         top = math.sqrt(sums.max())
         if 2 * UNDERFLOW_FLOOR * math.sqrt(a.shape[0]) <= top < math.inf:

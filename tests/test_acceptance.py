@@ -157,7 +157,7 @@ def test_criterion_6_corrective_term_vanishing():
     for name, m1, r1, m2, r2 in glued_models():
         pair = analyze_disk_sum(m1, r1, m2, r2)
         seq = mv_sequence(pair)
-        value = transport_bases(seq).corrective.value
+        value = transport_bases(seq.canonical, seq.h_factors).corrective.value
         worst = max(worst, abs(value - 1.0))
     report(6, "corrective-term-unity", worst <= 1e-6,
            f"max |corrective - 1| = {worst:.2e}")

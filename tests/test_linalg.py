@@ -7,6 +7,8 @@ a relative margin of 1e-6, just past its threshold, and require the
 check to raise.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +151,41 @@ def test_norms_of_subnormal_entries(scale):
     assert linalg.frobenius_norm(a) == pytest.approx(np.sqrt(26.0) * scale, rel=1e-9,
                                                      abs=5e-324)
     assert linalg.max_column_norm(a) == linalg.column_norms(a).max() > 0
+
+
+NORMS = (linalg.frobenius_norm, linalg.column_norms, linalg.max_column_norm)
+
+
+@pytest.mark.parametrize("entries", [
+    [[3e200, 4e200j], [0.0, 1.0]],      # squares overflow
+    [[1e154, 1.0], [1e154, 2.0]],       # squares fit, their sum overflows
+    [[1.5e308 + 1.5e308j, 1.0]],        # so does the modulus
+    [[np.inf, 1.0], [np.nan, 2.0j]],
+])
+def test_norms_of_overflowing_input_raise_no_warning(entries):
+    a = np.array(entries, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in NORMS:
+            norm(a)
+
+
+def test_norms_in_the_normal_range_enter_no_errstate(monkeypatch):
+    entered = []
+    errstate = np.errstate
+
+    def recording(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", recording)
+    a = np.random.default_rng(3).normal(size=(12, 6)) * (1 + 1j)
+    for norm in NORMS:
+        norm(a)
+    assert entered == []
+    # the overflow takes the guarded path
+    linalg.column_norms(1e200 * a)
+    assert entered
 
 
 def test_norms_beyond_the_float_range_are_infinite():

@@ -39,7 +39,7 @@ def test_homology_factors_each_boundary_map_once(name, basis, rng, monkeypatch):
 
 
 def test_exactness_checked_once_per_sequence(monkeypatch):
-    counts = {"mv_sequence": 0, "verify_exactness": 0}
+    counts = {"mv_sequence": 0, "verify_exactness": 0, "gluing_torsion": 0}
 
     def counting(name):
         original = getattr(glue, name)
@@ -50,14 +50,20 @@ def test_exactness_checked_once_per_sequence(monkeypatch):
 
         monkeypatch.setattr(glue, name, wrapper)
 
-    counting("mv_sequence")
-    counting("verify_exactness")
-    report = glue.verify_multiplicativity(
-        [circle(), wedge_of_circles(2), torus()],
-        [diag_rep(2.0), diag_rep(3.0, 1.5), diag_rep(2.0, 3.0)],
-    )
+    for name in counts:
+        counting(name)
+    factors = [circle(), wedge_of_circles(2), torus()]
+    reps = [diag_rep(2.0), diag_rep(3.0, 1.5), diag_rep(2.0, 3.0)]
+    report = glue.verify_multiplicativity(factors, reps)
     assert report.passed
-    assert counts["mv_sequence"] == 2
+    # a chain builds no sequence: each step takes its corrective term from
+    # the degree-0 block, which restates the exactness of its sequence
+    assert counts == {"mv_sequence": 0, "verify_exactness": 0, "gluing_torsion": 2}
+
+    # verify-mv checks the exactness of each sequence it builds once
+    counts.update(dict.fromkeys(counts, 0))
+    assert glue.verify_mv_identity(glue.analyze_disk_sum(factors[0], reps[0],
+                                                         factors[1], reps[1])).passed
     assert counts["verify_exactness"] == counts["mv_sequence"]
 
 
@@ -96,10 +102,11 @@ def test_chain_twists_and_factors_each_complex_once(monkeypatch):
     n = len(factors)
     # each factor and the disk once; the glued spaces are placed, not twisted
     assert counts["twist"] == n + 1
-    # the n factors, the n - 1 glued spaces, the disk and the n - 1 sequences
-    assert counts["homology"] == 3 * n - 1
-    # one torsion per complex and one split per sequence
-    assert counts["build_splitting"] == 3 * n - 1
+    # the n factors, the n - 1 glued spaces and the disk; no sequence is
+    # built, so none is factored or split
+    assert counts["homology"] == 2 * n
+    # one torsion per complex
+    assert counts["build_splitting"] == 2 * n
 
     # a step's left factor is the glued space of the step unfolded after it
     assert report.steps[0].total_torsion == report.total_torsion

@@ -2,7 +2,6 @@
 the assigned bases ``transport_bases`` passes to ``corrective_term``, and
 the covariance by which every other basis enters a torsion."""
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -116,7 +115,7 @@ def test_corrective_value_independent_of_split_basis(rng):
         pair = analyze_disk_sum(m1, r1, m2, r2)
         seq = mv_sequence(pair)
         drawn = drawn_bases(pair, rng)
-        transported = transported_dense_bases(seq, transport_bases(seq))
+        transported = transported_dense_bases(seq, transport_bases(seq.canonical, seq.h_factors))
         for bases in (None, drawn, transported):
             expected = split_in_bases(seq, bases or identity_bases(seq)).value
             assert corrective_term(seq, bases).value == pytest.approx(expected, rel=1e-9), (
@@ -129,7 +128,7 @@ def test_transport_cancels_the_residual_on_the_right_factor(rng):
     # homology, so M1, the partial sum of a chain, keeps its canonical bases
     for m1, r1, m2, r2 in gluing_models(rng):
         seq = mv_sequence(analyze_disk_sum(m1, r1, m2, r2))
-        transported = transport_bases(seq)
+        transported = transport_bases(seq.canonical, seq.h_factors)
         assert transported.residual == corrective_term(seq).value
         p = next(p for p, h in enumerate(seq.h_factors[1]) if h.shape[1])
         expected = [None] * len(seq.h_factors[1])
@@ -147,16 +146,16 @@ def test_transport_falls_back_to_the_left_factor():
     assert seq.canonical.value != 1
     acyclic = [np.zeros((n, 0), dtype=complex) for n in (3, 3)]
     widened = [np.hstack([h1, h2]) for h1, h2 in zip(*seq.h_factors)]
-    left = transport_bases(dataclasses.replace(seq, h_factors=(widened, acyclic)))
+    left = transport_bases(seq.canonical, (widened, acyclic))
     assert left.dets_m1 == [left.residual ** -1, None]
     assert left.dets_m2 == [None, None]
     assert left.corrective.value == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(TransportError, match="no nonzero direct-sum space"):
-        transport_bases(dataclasses.replace(seq, h_factors=(acyclic, acyclic)))
+        transport_bases(seq.canonical, (acyclic, acyclic))
     dets = [None] * len(seq.dims)
     dets[1] = 2.0
     with pytest.raises(TransportError, match="space 1: a direct-sum space takes no given basis"):
-        transport_bases(seq, dets)
+        transport_bases(seq.canonical, seq.h_factors, dets)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +204,7 @@ def test_assigned_bases_as_an_argument_change_no_bit():
         seq = mv_sequence(analyze_disk_sum(m1, r1, m2, r2))
         for bases in (None, identity_bases(seq)):
             assert_same_bits(corrective_term(seq, bases), seq.canonical, where)
-        transported = transport_bases(seq)
+        transported = transport_bases(seq.canonical, seq.h_factors)
         dets = recorded_determinants(seq, transported)
         assert sum(det is not None for det in dets) == 1, where
         assert_same_bits(transported.corrective, rescaled(seq.canonical, dets, -1), where)
@@ -258,9 +257,11 @@ def test_singular_coordinates_are_an_input_error(space, entry):
     bases = [None] * len(seq.dims)
     bases[space] = np.eye(seq.dims[space], dtype=complex)
     bases[space][:, 0] = entry
-    for call, given in ((corrective_term, bases), (transport_bases, determinants(bases))):
-        with pytest.raises(SplittingError, match=f"degree {space}: singular change of basis"):
-            call(seq, given)
+    message = f"degree {space}: singular change of basis"
+    with pytest.raises(SplittingError, match=message):
+        corrective_term(seq, bases)
+    with pytest.raises(SplittingError, match=message):
+        transport_bases(seq.canonical, seq.h_factors, determinants(bases))
 
 
 def test_misshapen_coordinates_are_an_input_error():
@@ -277,8 +278,8 @@ def test_missing_trailing_bases_are_the_identity():
     seq = mv_sequence(analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0)))
     for short in ([], [None], [None] * 3):
         assert_same_bits(corrective_term(seq, short), seq.canonical, short)
-        assert_same_bits(transport_bases(seq, short).corrective,
-                         transport_bases(seq).corrective, short)
+        assert_same_bits(transport_bases(seq.canonical, seq.h_factors, short).corrective,
+                         transport_bases(seq.canonical, seq.h_factors).corrective, short)
         assert_same_bits(rescaled(seq.canonical, short, 1), seq.canonical, short)
         assert_same_bits(rebased(seq.canonical, short, -1), seq.canonical, short)
 
@@ -288,7 +289,8 @@ def test_more_bases_than_degrees_are_an_input_error():
     assert len(seq.dims) == 6
     calls = [
         (lambda: corrective_term(seq, [None] * 7), "7 changes of basis for a complex of 6"),
-        (lambda: transport_bases(seq, [None] * 7), "7 changes of basis for a complex of 6"),
+        (lambda: transport_bases(seq.canonical, seq.h_factors, [None] * 7),
+         "7 changes of basis for a complex of 6"),
         (lambda: rescaled(seq.canonical, [None] * 7, 1), "7 changes of basis for a complex of 6"),
         (lambda: rebased(seq.canonical, [None] * 7, -1), "7 changes of basis for a complex of 6"),
     ]
@@ -347,7 +349,7 @@ CHAIN = (circle(), wedge_of_circles(2), torus(), wedge_of_circles(3),
 
 def test_chain_solves_nothing(solve_calls, monkeypatch):
     built, transported, lstsq_calls = [], [], []
-    build, transport, lstsq = glue.mv_sequence, glue.transport_bases, np.linalg.lstsq
+    build, transport, lstsq = glue.gluing_torsion, glue.transport_bases, np.linalg.lstsq
 
     def building(*args, **kwargs):
         built.append(build(*args, **kwargs))
@@ -361,7 +363,7 @@ def test_chain_solves_nothing(solve_calls, monkeypatch):
         lstsq_calls.append(None)
         return lstsq(*args, **kwargs)
 
-    monkeypatch.setattr(glue, "mv_sequence", building)
+    monkeypatch.setattr(glue, "gluing_torsion", building)
     monkeypatch.setattr(glue, "transport_bases", transporting)
     monkeypatch.setattr(np.linalg, "lstsq", counting)
     # eigenvalues drawn as the chain workload draws them: modulus in
@@ -374,8 +376,9 @@ def test_chain_solves_nothing(solve_calls, monkeypatch):
         reps.append(diag_rep(*lams))
     report = verify_multiplicativity(list(CHAIN), reps)
     assert report.passed
-    # the transported bases and the carried basis of H(M) enter every
-    # corrective term and factor torsion as determinants
+    # one corrective term per step, each taken from its degree-0 block; the
+    # transported bases and the carried basis of H(M) enter every corrective
+    # term and factor torsion as determinants
     assert len(built) == len(CHAIN) - 1
     assert solve_calls == []
     # sections come from the SVDs of homology and class coordinates are
