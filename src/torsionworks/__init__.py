@@ -41,14 +41,11 @@ from .glue import (
     DiskSumResult,
     GluedPair,
     MvSequence,
-    TransportedBases,
     analyze_disk_sum,
-    corrective_term,
     disk_sum,
     free_product_rep,
     gluing_torsion,
     mv_sequence,
-    transport_bases,
     verify_multiplicativity,
     verify_mv_identity,
 )

@@ -56,7 +56,7 @@ class SequenceError(TorsionworksError):
 
 
 class TransportError(TorsionworksError):
-    """Basis transport was given a basis it assigns, or cannot normalize."""
+    """Basis transport cannot normalize a corrective term."""
 
 
 class DiskSumError(TorsionworksError):

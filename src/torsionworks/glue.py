@@ -38,11 +38,10 @@ from the factors' bases, and restates the exactness of the whole
 sequence without building it.  ``MvSequence`` is the whole sequence as
 a chain complex with d = 1, built, checked for exactness and split once
 per pair by ``mv_sequence``; it serves ``verify_mv_identity`` and the
-tests, where ``corrective_term`` takes its torsion in other bases from
-their coordinates in the canonical ones.  ``transport_bases`` carries
-every basis as its determinant: it cancels the corrective term with a
-single scalar, the determinant of the right factor's basis in its first
-degree with homology, which reduces the gluing formula
+tests.  ``verify_multiplicativity`` carries one scalar per step down a
+chain: the corrective term is cancelled by the determinant of the right
+factor's basis in its first degree with homology, which reduces the
+gluing formula
 
     T(M1) * T(M2) = T(M) * T(D) * (corrective term)
 
@@ -75,7 +74,6 @@ from .complexes import (
     untwisted_betti0,
 )
 from .errors import (
-    DimensionMismatchError,
     DiskSumError,
     HomologyError,
     RankAmbiguityError,
@@ -88,8 +86,6 @@ from .torsion import (
     TorsionResult,
     build_splitting,
     determinants,
-    rebased,
-    rescaled,
     torsion,
     torsion_of,
 )
@@ -301,8 +297,8 @@ class MvSequence(TwistedChainComplex):
     A chain complex with d = 1, three spaces per degree of the glued
     complex: ``mats[q - 1]`` maps space q into space q - 1.  Each space
     is written in the pair's canonical homology bases (cycle-vector
-    columns), its default basis; every other basis is passed to
-    ``corrective_term`` as coordinates in these.  In the direct-sum
+    columns), its default basis; every other basis enters ``canonical``
+    by the determinant of its coordinates in these.  In the direct-sum
     space 3p+1 the coordinates of ``h_factors[0][p]`` come first and
     those of ``h_factors[1][p]`` last.  ``mv_sequence`` checks exactness
     and takes ``canonical``, the torsion in these bases, once.
@@ -332,8 +328,8 @@ def mv_sequence(pair: GluedPair, tol: float = DEFAULT_TOL) -> MvSequence:
     factors' coordinates back, which is exact above degree 0.  Alpha,
     (v, -v) on the shared 0-cell, has orthogonal columns of squared norm
     2, so the pull-back is alpha^H / 2.  Exactness is verified, and the
-    torsion that ``corrective_term`` and ``transport_bases`` rescale is
-    taken at ``tol`` and stored in ``canonical``, before returning.
+    torsion in these bases is taken at ``tol`` and stored in
+    ``canonical``, before returning.
     """
     tc1, tc2, tcm = pair.tc1, pair.tc2, pair.tcm
     degrees = tcm.dimension + 1
@@ -442,25 +438,6 @@ def _split_boundary_bases(seq: TwistedChainComplex,
         if seq.dims[q] and images[q].shape[1] == seq.dims[q]:
             out[q] = np.eye(seq.dims[q], dtype=complex)
     return out
-
-
-def corrective_term(seq: MvSequence, bases=None) -> TorsionResult:
-    """Torsion of the exact sequence in the assigned bases ``bases``.
-
-    ``bases[q]`` holds the coordinates of the assigned basis of space q
-    in the canonical one ``mv_sequence`` wrote it in, so it multiplies
-    ``seq.canonical`` by det(bases[q])^((-1)^(q+1)); in a direct-sum space
-    the factors' coordinates sit block-diagonally, the first factor's
-    first.  None, for ``bases`` or an entry, and missing trailing entries
-    are the identity; more entries than spaces, or an entry not n x n for
-    a space of dimension n, raise DimensionMismatchError, a singular one
-    SplittingError.  The value does not depend on the split of each
-    space; the per-degree determinants do.
-    """
-    for q, (n, c) in enumerate(zip(seq.dims, bases or ())):
-        if c is not None and np.shape(c) != (n, n):
-            raise DimensionMismatchError(f"space {q}: {np.shape(c)} coordinates, dimension {n}")
-    return rebased(seq.canonical, bases, -1)
 
 
 def _lifts(pair: GluedPair, ends, kernel, coordinates):
@@ -594,74 +571,6 @@ def gluing_torsion(pair: GluedPair, tol: float = DEFAULT_TOL) -> TorsionResult:
 
 
 # ---------------------------------------------------------------------------
-# basis transport
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TransportedBases:
-    """Factor homology bases for which the corrective term equals 1.
-
-    A basis enters a torsion only through the determinant of its
-    coordinates in the canonical one, so each transported basis is that
-    determinant: ``dets_m1[p]`` and ``dets_m2[p]`` for the bases of
-    H_p(M1) and H_p(M2) in ``h_factors[0][p]`` and ``[1][p]``, None
-    for the canonical basis itself.  ``residual`` is the corrective term
-    in the given bases of the M and D spaces and the canonical factor
-    bases; one entry carries the power of it that cancels it, so
-    ``corrective``, the corrective term in the bases so assigned, is 1
-    for every exact sequence.
-    """
-
-    dets_m1: list[complex | None]
-    dets_m2: list[complex | None]
-    residual: complex
-    corrective: TorsionResult
-
-
-def transport_bases(canonical: TorsionResult, h_factors, dets=None) -> TransportedBases:
-    """Choose factor bases making the corrective term 1, one scalar per step.
-
-    ``canonical`` is the sequence's torsion in canonical bases, one
-    per-degree determinant per space, as ``mv_sequence`` and
-    ``gluing_torsion`` give it; ``h_factors`` are the factors' canonical
-    homology bases, M1's first, as ``MvSequence.h_factors`` holds them.
-    ``dets[q]`` is the determinant of the given basis of space q, as
-    ``rescaled`` takes it (``torsion.determinants`` turns coordinates into
-    these); missing trailing entries are the identity and the direct-sum
-    entries must be None, since they are assigned here.  The corrective
-    term kappa in those bases is cancelled in the first degree where M2
-    has homology, by a basis of H_p(M2) of determinant kappa^((-1)^(p+1)),
-    so the partial sum M1 keeps its canonical bases and no scale
-    compounds down a chain.  When M2 is acyclic, M1's first nonzero
-    degree takes it; with no homology in either factor, kappa must be 1.
-    """
-    spaces = len(canonical.per_degree_determinants)
-    dets = list(dets or ())
-    dets += [None] * (spaces - len(dets))
-    for q in range(1, spaces, 3):
-        if dets[q] is not None:
-            raise TransportError(f"space {q}: a direct-sum space takes no given basis")
-    residual = rescaled(canonical, dets, -1).value
-
-    dets_m1, dets_m2 = ([None] * len(h) for h in h_factors)
-    for h, out in zip(reversed(h_factors), (dets_m2, dets_m1)):
-        p = next((p for p, hp in enumerate(h) if hp.shape[1]), None)
-        if p is not None:
-            # a basis of determinant c in space 3p+1 multiplies the
-            # corrective term by c^((-1)^p)
-            out[p] = dets[3 * p + 1] = residual ** ((-1) ** (p + 1))
-            break
-    else:
-        if not abs(residual - 1.0) <= PASS_TOL:
-            raise TransportError(
-                f"corrective term {residual} cannot be normalized: "
-                "no nonzero direct-sum space"
-            )
-    return TransportedBases(dets_m1=dets_m1, dets_m2=dets_m2, residual=residual,
-                            corrective=rescaled(canonical, dets, -1))
-
-
-# ---------------------------------------------------------------------------
 # assembled analyses and verifiers
 # ---------------------------------------------------------------------------
 
@@ -767,7 +676,8 @@ def verify_mv_identity(pair: GluedPair, tol: float = DEFAULT_TOL,
 
 @dataclass
 class MultiplicativityStep:
-    """One unfold step M = M' disk-sum M_k with transported bases."""
+    """One unfold step M = M' disk-sum M_k, its factor torsions in the bases
+    one transported scalar assigns."""
 
     left_name: str
     right_name: str
@@ -833,13 +743,17 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     is built: each step's corrective term, in canonical bases, comes from
     ``gluing_torsion``, the sequence's degree-0 block with H(M) in a
     basis assembled from the factors' bases, which restates the
-    sequence's exactness.  The basis of H(M) travels down the chain as
-    one determinant per degree, of its coordinates in the canonical one:
-    those of the classes of ``h_m`` at the top (None when it is omitted),
-    then the left factor's transported ones below.  Each torsion is taken
-    once, in canonical bases, and ``rescaled`` by the transported
-    determinants: a step's ``left_torsion`` is the ``total_torsion`` of
-    the next step.
+    sequence's exactness.  A basis enters a torsion only through its
+    determinant (Milnor, *Whitehead torsion*, section 3), so one scalar c
+    carries the change of basis of H(M) down the chain: prod_p
+    det(C_p)^(-(-1)^p) for the class coordinates C_p of ``h_m`` at the top,
+    1 when it is omitted.  A step's corrective term kappa, c times the
+    canonical one, is cancelled by a basis of H_p(M2) of determinant
+    kappa^((-1)^(p+1)) in M2's first degree p with homology, and c is 1
+    below; when M2 is acyclic, M1 takes it and c carries its inverse power
+    down; with no homology in either factor, kappa must be 1.  Each torsion
+    is taken once, in canonical bases: a step's ``left_torsion`` is the
+    ``total_torsion`` of the next step.
     """
     if len(factors) < 2:
         raise DiskSumError("need at least two factors")
@@ -854,31 +768,49 @@ def verify_multiplicativity(factors, reps, h_m=None, tol: float = DEFAULT_TOL,
     top = pairs[-1]
     split = build_splitting(top.tcm, top.hdm, h_m, tol=tol)
     total_torsion = torsion(top.tcm, split).value
-    dets_m = determinants([None if h_m is None else _class_coordinates(h, canonical, boundary)
-                           for h, canonical, boundary in zip(split.h, top.hdm.h_basis,
-                                                             top.hdm.boundary_basis)])
+    c = 1
+    if h_m is not None:
+        coordinates = [_class_coordinates(h, canonical, boundary) for h, canonical, boundary
+                       in zip(split.h, top.hdm.h_basis, top.hdm.boundary_basis)]
+        for p, det in enumerate(determinants(coordinates)):
+            if det is not None:
+                c *= det ** -((-1) ** p)
     t_disk = torsion_of(top.tcd, top.hdd, tol=tol).value
 
     steps: list[MultiplicativityStep] = []
     t_total = total_torsion
     for k in range(len(factors) - 1, 0, -1):
         pair = pairs[k - 1]
-        canonical = gluing_torsion(pair, tol=tol)
-        dets = [None] * len(canonical.per_degree_determinants)
-        dets[0::3] = dets_m
-        transported = transport_bases(canonical, (pair.hd1.h_basis, pair.hd2.h_basis), dets)
-        t_left = rescaled(torsion_of(pair.tc1, pair.hd1, tol=tol), transported.dets_m1, 1).value
-        t_right = rescaled(torsion_of(pair.tc2, pair.hd2, tol=tol), transported.dets_m2, 1).value
+        kappa = gluing_torsion(pair, tol=tol).value * c
+        t_left, t_right = (torsion_of(tc, hd, tol=tol).value
+                           for tc, hd in ((pair.tc1, pair.hd1), (pair.tc2, pair.hd2)))
+        corrective, c = kappa, 1
+        for hd in (pair.hd2, pair.hd1):
+            p = next((p for p, b in enumerate(hd.betti) if b), None)
+            if p is not None:
+                # a basis of H_p of determinant det multiplies kappa by det^((-1)^p)
+                det = kappa ** ((-1) ** (p + 1))
+                f = det ** ((-1) ** p)
+                corrective = kappa * f
+                if hd is pair.hd2:
+                    t_right *= f
+                else:
+                    t_left *= f
+                    c = det ** -((-1) ** p)
+                break
+        else:
+            if not abs(kappa - 1.0) <= PASS_TOL:
+                raise TransportError(f"corrective term {kappa} cannot be normalized: "
+                                     "neither factor has homology")
         steps.append(MultiplicativityStep(
             left_name=left_names[k - 1],
             right_name=factors[k].name,
-            corrective=transported.corrective.value,
+            corrective=corrective,
             total_torsion=t_total,
             left_torsion=t_left,
             right_torsion=t_right,
             disk_torsion=t_disk,
         ))
-        dets_m = transported.dets_m1
         t_total = t_left
     factor_torsions = [t_total] + [step.right_torsion for step in reversed(steps)]
 

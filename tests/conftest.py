@@ -69,7 +69,7 @@ def drawn_residual(pair, rng):
     nonzero homology degree of M1, M2, M and D, each torsion rebased by its
     mixes, and the corrective term taken in the sequence's bases so drawn,
     a direct-sum space's the factors' mixes block-diagonally."""
-    from torsionworks.glue import corrective_term, mv_sequence
+    from torsionworks.glue import mv_sequence
     from torsionworks.linalg import random_recombination
     from torsionworks.torsion import rebased, torsion_of
     complexes = ((pair.tc1, pair.hd1), (pair.tc2, pair.hd2),
@@ -83,7 +83,7 @@ def drawn_residual(pair, rng):
     for p, c in enumerate(cm):
         a, b = (f[p] if p < len(f) else np.zeros((0, 0)) for f in (c1, c2))
         bases += [c, _direct_sum(a, b), cd[p] if p < len(cd) else None]
-    th = corrective_term(mv_sequence(pair), bases).value
+    th = rebased(mv_sequence(pair).canonical, bases, -1).value
     return abs(t1 * t2 - tm * td * th) / abs(t1 * t2)
 
 
@@ -147,3 +147,14 @@ def sphere():
         cells=[1, 0, 1],
         boundaries=[GroupRingMatrix.zeros(1, 0), GroupRingMatrix.zeros(0, 1)],
     )
+
+
+def assigned_determinant(pair, step):
+    """(p, det) for a two-factor chain's ``step`` on ``pair``: M2's first
+    degree p with homology, where the chain's one transported scalar goes,
+    and the determinant det of the basis of H_p(M2) it assigns there, read
+    off the step's right torsion, T(M2) det^((-1)^p)."""
+    from torsionworks.torsion import torsion_of
+    p = next(p for p, b in enumerate(pair.hd2.betti) if b)
+    factor = step.right_torsion / torsion_of(pair.tc2, pair.hd2).value
+    return p, factor ** ((-1) ** p)

@@ -17,12 +17,12 @@ from torsionworks.glue import (
     analyze_disk_sum,
     gluing_torsion,
     mv_sequence,
-    transport_bases,
     verify_multiplicativity,
 )
 from torsionworks.scenes import circle, point, wedge_of_circles
+from torsionworks.torsion import rescaled
 
-from conftest import bouquet, diag_rep, random_sl2, torus
+from conftest import assigned_determinant, bouquet, diag_rep, random_sl2, torus
 
 REL = 1e-12
 
@@ -92,14 +92,15 @@ def test_point_sum_point_is_exact():
 
 @pytest.mark.parametrize("first, second", [(1, 4), (4, 5), (6, 8), (7, 1)])
 def test_transport_cancels_the_degree0_corrective_term(first, second):
-    # rescaled by the determinants transport_bases assigns, the block's
-    # torsion is 1, as the whole sequence's is
+    # in the bases a two-factor chain assigns from the block's torsion, the
+    # block's corrective term is 1, and so is the whole sequence's
+    (m1, r1), (m2, r2) = MODELS[first], MODELS[second]
     pair = glued(first, second)
-    h_factors = (pair.hd1.h_basis, pair.hd2.h_basis)
-    transported = transport_bases(gluing_torsion(pair), h_factors)
-    assert transported.corrective.value == pytest.approx(1.0, rel=REL)
-    reference = transport_bases(mv_sequence(pair).canonical, h_factors)
-    assert relative(transported.residual, reference.residual) <= REL
+    step = verify_multiplicativity([m1, m2], [r1, r2]).steps[0]
+    assert step.corrective == pytest.approx(1.0, rel=REL)
+    p, det = assigned_determinant(pair, step)
+    whole = rescaled(mv_sequence(pair).canonical, [None] * (3 * p + 1) + [det], -1)
+    assert whole.value == pytest.approx(1.0, rel=REL)
 
 
 # the factors of the benchmark's chain workload, in its order

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,10 @@ from torsionworks.complexes import (
 from torsionworks.errors import DiskSumError, SequenceError
 from torsionworks.glue import (
     analyze_disk_sum,
-    corrective_term,
     disk_sum,
     free_product_rep,
+    gluing_torsion,
     mv_sequence,
-    transport_bases,
     verify_exactness,
     verify_multiplicativity,
     verify_mv_identity,
@@ -31,14 +32,15 @@ from torsionworks.glue import (
 from torsionworks.linalg import DEFAULT_TOL, DEFECT_TOL, matrix_rank, relative_defect
 from torsionworks.scenes import circle, point, wedge_of_circles
 from torsionworks.torsion import (
-    TorsionResult,
     build_splitting,
-    determinants,
+    rebased,
+    rescaled,
     torsion,
     torsion_of,
 )
 
 from conftest import (
+    assigned_determinant,
     bouquet,
     diag_rep,
     drawn_residual,
@@ -169,26 +171,32 @@ def test_sequence_has_three_spaces_per_degree_of_the_glued_complex(monkeypatch):
         (circle(), diag_rep(2.0), torus(), diag_rep(3.0, 5.0), 9),
         (torus(), diag_rep(2.0, 3.0), bouquet(), diag_rep(2.5), 12),
     ]
-    given = []
+    blocks, rescalings = [], []
+    block, rescale = glue.gluing_torsion, torsion_module.rescaled
 
-    def recording(canonical, h_factors, dets=None):
-        given.append(dets)
-        return transport_bases(canonical, h_factors, dets)
+    def recording(*args, **kwargs):
+        blocks.append(block(*args, **kwargs))
+        return blocks[-1]
 
-    monkeypatch.setattr(glue, "transport_bases", recording)
+    def rescaling(*args, **kwargs):
+        rescalings.append(None)
+        return rescale(*args, **kwargs)
+
+    monkeypatch.setattr(glue, "gluing_torsion", recording)
+    monkeypatch.setattr(torsion_module, "rescaled", rescaling)
     for m1, r1, m2, r2, spaces in cases:
         pair = analyze_disk_sum(m1, r1, m2, r2)
         seq = mv_sequence(pair)
         assert len(seq.dims) == 3 * (pair.tcm.dimension + 1) == spaces
         assert len(seq.mats) == spaces - 1
-        # one determinant per degree of each factor
-        transported = transport_bases(seq.canonical, seq.h_factors)
-        assert len(transported.dets_m1) == pair.tc1.dimension + 1
-        assert len(transported.dets_m2) == pair.tc2.dimension + 1
-        given.clear()
+        blocks.clear()
         verify_multiplicativity([m1, m2], [r1, r2])
-        # one determinant per space of the sequence
-        assert [len(dets) for dets in given] == [spaces]
+        # one degree-0 block per step, with one determinant per space of the
+        # sequence, and no basis transported or rescaled
+        assert [len(b.per_degree_determinants) for b in blocks] == [spaces]
+        assert rescalings == []
+    for name in ("transport_bases", "TransportedBases", "corrective_term"):
+        assert not hasattr(glue, name), name
 
 
 def test_sequence_circle_circle_dimensions():
@@ -269,28 +277,32 @@ def test_exactness_rejects_dimensions_that_do_not_alternate_to_zero():
 
 
 def test_copies_and_transport_read_the_split_mv_sequence_built(monkeypatch):
-    # the residual and the transported corrective term come from
-    # seq.canonical, the torsion mv_sequence took once; transport_bases
-    # splits and assembles nothing
-    pair = analyze_disk_sum(wedge_of_circles(2), diag_rep(2.0, 3.0), circle(), diag_rep(5.0))
+    # with the sequence's torsion in place of the degree-0 block, the step's
+    # transport reads seq.canonical, the torsion mv_sequence took once, and
+    # splits only the four complexes: the transported scalar is its value
+    m1, r1, m2, r2 = wedge_of_circles(2), diag_rep(2.0, 3.0), circle(), diag_rep(5.0)
+    pair = analyze_disk_sum(m1, r1, m2, r2)
     seq = mv_sequence(pair)
-    calls = []
+    splits = []
+    split = torsion_module.build_splitting
 
-    def refused(name):
-        return lambda *args, **kwargs: calls.append(name)
+    def splitting(*args, **kwargs):
+        splits.append(None)
+        return split(*args, **kwargs)
 
-    for module, name in ((torsion_module, "assembled_matrix"),
-                         (torsion_module, "build_splitting"), (glue, "build_splitting"),
-                         (glue, "torsion"), (glue, "torsion_of")):
-        monkeypatch.setattr(module, name, refused(name))
-    transported = transport_bases(seq.canonical, seq.h_factors)
-    assert calls == []
-    assert transported.residual == seq.canonical.value
-    dets = seq.canonical.per_degree_determinants
-    doubled = TorsionResult(2 * seq.canonical.value, dets)
-    assert transport_bases(doubled, seq.h_factors).residual == pytest.approx(
-        2 * transported.residual, rel=1e-15)
-    assert calls == []
+    monkeypatch.setattr(glue, "build_splitting", splitting)
+    monkeypatch.setattr(torsion_module, "build_splitting", splitting)
+    t2 = torsion_of(pair.tc2, pair.hd2).value
+    for scale in (1, 2):
+        canonical = dataclasses.replace(seq.canonical, value=scale * seq.canonical.value)
+        monkeypatch.setattr(glue, "gluing_torsion", lambda pair, tol: canonical)
+        splits.clear()
+        step = verify_multiplicativity([m1, m2], [r1, r2]).steps[0]
+        # M, M1, M2 and D, each split once
+        assert len(splits) == 4
+        # H_0(M2) takes the basis of determinant kappa^-1
+        assert step.right_torsion == t2 * (scale * seq.canonical.value) ** -1
+        assert step.corrective == pytest.approx(1.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +322,12 @@ def test_corrective_term_zero_sequence_is_one():
 def test_corrective_term_scaling_covariance():
     pair = analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0))
     seq = mv_sequence(pair)
-    base = corrective_term(seq).value
+    base = rebased(seq.canonical, None, -1).value
     alpha = 0.6 + 1.1j
     bases = [None] * len(seq.dims)
     bases[1] = np.eye(seq.dims[1], dtype=complex)
     bases[1][:, 0] *= alpha
-    scaled = corrective_term(seq, bases).value
+    scaled = rebased(seq.canonical, bases, -1).value
     # scaling one assigned basis vector of the odd space C_1 multiplies
     # the torsion of the sequence by alpha
     assert scaled == pytest.approx(base * alpha, rel=1e-9)
@@ -331,22 +343,32 @@ def test_transport_makes_corrective_term_one():
     ]
     for m1, r1, m2, r2 in models:
         pair = analyze_disk_sum(m1, r1, m2, r2)
-        seq = mv_sequence(pair)
-        transported = transport_bases(seq.canonical, seq.h_factors)
-        for det in transported.dets_m1 + transported.dets_m2:
-            assert det is None or abs(det) > 1e-12
-        assert transported.corrective.value == pytest.approx(1.0, abs=1e-9)
+        step = verify_multiplicativity([m1, m2], [r1, r2]).steps[0]
+        p, det = assigned_determinant(pair, step)
+        assert abs(det) > 1e-12
+        # the scalar is the sequence's torsion to the power (-1)^(p+1)
+        kappa = mv_sequence(pair).canonical.value
+        assert det == pytest.approx(kappa ** ((-1) ** (p + 1)), rel=1e-12)
+        assert step.corrective == pytest.approx(1.0, abs=1e-9)
 
 
 def test_transport_point_point_with_geometric_disk_basis():
-    pair = analyze_disk_sum(point(), Representation.trivial(0),
-                            point(), Representation.trivial(0))
-    seq = mv_sequence(pair)
-    # the geometric disk basis as coordinates in the canonical one
-    bases = [None, None, np.linalg.solve(pair.hdd.h_basis[0], np.eye(3, dtype=complex))]
-    transported = transport_bases(seq.canonical, seq.h_factors, determinants(bases))
-    assert transported.residual == corrective_term(seq, bases).value
-    assert transported.corrective.value == pytest.approx(1.0, abs=1e-12)
+    # H_0(M) of point # point is the disk's cell: given in its geometric
+    # basis, the basis enters the corrective term by its determinant, and
+    # the transport still cancels it
+    factors, reps = [point(), point()], [Representation.trivial(0)] * 2
+    pair = analyze_disk_sum(point(), reps[0], point(), reps[1])
+    geometric = np.eye(3, dtype=complex)
+    report = verify_multiplicativity(factors, reps, h_m=[geometric])
+    step = report.steps[0]
+    assert report.passed
+    assert step.corrective == pytest.approx(1.0, abs=1e-12)
+    # the geometric basis as coordinates in the canonical one
+    bases = [pair.hdm.h_basis[0].conj().T @ geometric]
+    kappa = rebased(mv_sequence(pair).canonical, bases, -1).value
+    p, det = assigned_determinant(pair, step)
+    assert p == 0
+    assert det == pytest.approx(kappa ** -1, rel=1e-12)
 
 
 def test_transport_identity_when_second_factor_empty():
@@ -357,11 +379,13 @@ def test_transport_identity_when_second_factor_empty():
     pair = analyze_disk_sum(circle(), diag_rep(2.0),
                             point(), Representation.trivial(0))
     seq = mv_sequence(pair)
-    transported = transport_bases(seq.canonical, seq.h_factors)
     assert seq.dims[4] == 1
     assert seq.canonical.per_degree_determinants[4] == pytest.approx(1.0, abs=1e-9)
-    assert transported.dets_m1 == [None, None]
-    assert transported.dets_m2 == [transported.residual ** -1]
+    step = verify_multiplicativity([circle(), point()],
+                                   [diag_rep(2.0), Representation.trivial(0)]).steps[0]
+    kappa = gluing_torsion(pair).value
+    assert step.left_torsion == torsion_of(pair.tc1, pair.hd1).value
+    assert step.right_torsion == torsion_of(pair.tc2, pair.hd2).value * kappa ** -1
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +558,39 @@ def test_multiplicativity_given_total_bases(rng):
     assert report.total_torsion == pytest.approx(direct, rel=1e-9)
 
 
+def test_multiplicativity_given_total_bases_in_degrees_one_and_two():
+    # torus # bouquet # wedge_2: the change of basis of H(M) spans degrees 1
+    # and 2, and enters the top step's corrective term as one scalar,
+    # det(C_1) / det(C_2), which only the top step's right factor absorbs
+    factors = [torus(), bouquet(), wedge_of_circles(2)]
+    reps = [diag_rep(2.0, 3.0), diag_rep(2.5), diag_rep(3.0, 1.5)]
+    pairs = list(glue._glued_chain(factors, reps, DEFAULT_TOL))
+    top = pairs[-1]
+    assert top.hdm.betti == [1, 11, 4, 3]
+    rng = np.random.default_rng(5)
+    mixes = [np.eye(k, dtype=complex) for k in top.hdm.betti]
+    for p in (1, 2):
+        k = top.hdm.betti[p]
+        mixes[p] = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) + 3 * np.eye(k)
+    h_m = [h @ mix for h, mix in zip(top.hdm.h_basis, mixes)]
+    report = verify_multiplicativity(factors, reps, h_m=h_m)
+    canonical = verify_multiplicativity(factors, reps)
+    assert report.total_torsion == torsion_of(top.tcm, top.hdm, h_m).value
+    assert report.passed
+    assert report.relative_error <= 1e-12
+    assert all(step.relative_error <= 1e-12 for step in report.steps)
+    # factor 0 keeps its canonical torsion, and the factors below the top
+    # step keep the torsions of the chain in canonical bases
+    assert report.factor_torsions[0] == torsion_of(pairs[0].tc1, pairs[0].hd1).value
+    assert report.factor_torsions[:-1] == canonical.factor_torsions[:-1]
+    # the last factor absorbs kappa = det(C_1) / det(C_2) times the
+    # sequence's torsion in canonical bases, on H_0 of wedge_2
+    kappa = (mv_sequence(top).canonical.value
+             * np.linalg.det(mixes[1]) / np.linalg.det(mixes[2]))
+    expected = torsion_of(top.tc2, top.hd2).value / kappa
+    assert abs(report.factor_torsions[-1] - expected) <= 1e-12 * abs(expected)
+
+
 # ---------------------------------------------------------------------------
 # higher-dimensional factors
 # ---------------------------------------------------------------------------
@@ -571,9 +628,12 @@ def test_transport_per_degree_determinants_clean_regime():
     pair = analyze_disk_sum(point(), Representation.trivial(0),
                             point(), Representation.trivial(0))
     seq = mv_sequence(pair)
-    transported = transport_bases(seq.canonical, seq.h_factors)
-    for p, det in enumerate(transported.corrective.per_degree_determinants):
-        assert det == pytest.approx(1.0, abs=1e-9), (p, det)
+    step = verify_multiplicativity([point(), point()],
+                                   [Representation.trivial(0)] * 2).steps[0]
+    p, det = assigned_determinant(pair, step)
+    transported = rescaled(seq.canonical, [None] * (3 * p + 1) + [det], -1)
+    for q, det in enumerate(transported.per_degree_determinants):
+        assert det == pytest.approx(1.0, abs=1e-9), (q, det)
 
 
 # ---------------------------------------------------------------------------

@@ -87,18 +87,18 @@ def test_no_solver_and_no_inverse_outside_algebra():
     assert found == []
 
 
-# a change of basis enters a torsion only through its determinant, so basis
-# transport computes one scalar per step: no dense basis, no determinant of
-# one, and no coordinates to rebase by
-TRANSPORT_BANNED = {"eye", "empty_matrix", "det", "rebased"}
+# a change of basis enters a torsion only through its determinant, so a
+# chain carries one scalar per step: no dense basis, and no determinants
+# to rescale or coordinates to rebase by
+CHAIN_TRANSPORT_BANNED = {"rescaled", "rebased", "eye", "empty_matrix"}
 
 
-def test_transport_bases_names_no_dense_basis():
+def test_verify_multiplicativity_names_no_dense_basis():
     tree = ast.parse((SRC / "glue.py").read_text())
-    transport = next(node for node in tree.body
-                     if isinstance(node, ast.FunctionDef) and node.name == "transport_bases")
-    found = [f"glue.py:{line}: {name}" for line, name in named(transport)
-             if name in TRANSPORT_BANNED]
+    chain = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "verify_multiplicativity")
+    found = [f"glue.py:{line}: {name}" for line, name in named(chain)
+             if name in CHAIN_TRANSPORT_BANNED]
     assert found == []
 
 

@@ -1,7 +1,8 @@
-"""The split basis shared by ``transport_bases`` and ``corrective_term``,
-the assigned bases ``transport_bases`` passes to ``corrective_term``, and
-the covariance by which every other basis enters a torsion."""
+"""The split basis of the Mayer-Vietoris sequence, the bases a chain
+step's one transported scalar assigns, and the covariance by which every
+other basis enters a torsion."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,18 +16,17 @@ from torsionworks.complexes import TwistedChainComplex
 from torsionworks.errors import DimensionMismatchError, SplittingError, TransportError
 from torsionworks.glue import (
     analyze_disk_sum,
-    corrective_term,
+    gluing_torsion,
     mv_sequence,
-    transport_bases,
     verify_exactness,
     verify_multiplicativity,
     verify_mv_identity,
 )
-from torsionworks.linalg import random_recombination
+from torsionworks.linalg import DEFAULT_TOL, random_recombination
 from torsionworks.scenes import circle, point, wedge_of_circles
-from torsionworks.torsion import determinants, rebased, rescaled, torsion_of
+from torsionworks.torsion import rebased, rescaled, torsion_of
 
-from conftest import bouquet, diag_rep, random_sl2, torus
+from conftest import assigned_determinant, bouquet, diag_rep, random_sl2, torus
 
 
 def gluing_models(rng):
@@ -48,31 +48,19 @@ def identity_bases(seq):
     return [np.eye(n, dtype=complex) for n in seq.dims]
 
 
-def recorded_determinants(seq, transported):
-    """The determinant of each space's assigned basis, from what
-    ``transport_bases`` records: a factor block's in its direct-sum
-    space, None elsewhere."""
-    dets = [None] * len(seq.dims)
-    for factor in (transported.dets_m1, transported.dets_m2):
-        for p, det in enumerate(factor):
-            if det is not None:
-                assert dets[3 * p + 1] is None
-                dets[3 * p + 1] = det
-    return dets
+def chain_step(m1, r1, m2, r2):
+    """The one step of the two-factor chain M1 # M2."""
+    return verify_multiplicativity([m1, m2], [r1, r2]).steps[0]
 
 
-def transported_dense_bases(seq, transported):
-    """The assigned bases of ``transported`` as dense matrices in every
-    space: identities, with the first vector of a factor block whose
-    determinant is recorded scaled by it."""
+def transported_dense_bases(seq, pair, step):
+    """The bases the chain ``step`` on ``pair`` assigns, as dense matrices
+    in every space: identities, with the first vector of M2's block scaled
+    by the one determinant the step assigns there."""
+    p, det = assigned_determinant(pair, step)
     bases = identity_bases(seq)
-    for p, det in enumerate(transported.dets_m1):
-        if det is not None:
-            bases[3 * p + 1][0, 0] = det
-    for p, det in enumerate(transported.dets_m2):
-        if det is not None:
-            first = seq.dims[3 * p + 1] - seq.h_factors[1][p].shape[1]
-            bases[3 * p + 1][first, first] = det
+    first = seq.dims[3 * p + 1] - pair.hd2.betti[p]
+    bases[3 * p + 1][first, first] = det
     return bases
 
 
@@ -115,11 +103,14 @@ def test_corrective_value_independent_of_split_basis(rng):
         pair = analyze_disk_sum(m1, r1, m2, r2)
         seq = mv_sequence(pair)
         drawn = drawn_bases(pair, rng)
-        transported = transported_dense_bases(seq, transport_bases(seq.canonical, seq.h_factors))
+        transported = transported_dense_bases(seq, pair, chain_step(m1, r1, m2, r2))
         for bases in (None, drawn, transported):
             expected = split_in_bases(seq, bases or identity_bases(seq)).value
-            assert corrective_term(seq, bases).value == pytest.approx(expected, rel=1e-9), (
+            assert rebased(seq.canonical, bases, -1).value == pytest.approx(expected, rel=1e-9), (
                 m1.name, m2.name)
+        # re-split in the bases the chain assigns, the corrective term is 1
+        assert split_in_bases(seq, transported).value == pytest.approx(1.0, abs=1e-9), (
+            m1.name, m2.name)
 
 
 def test_transport_cancels_the_residual_on_the_right_factor(rng):
@@ -127,35 +118,68 @@ def test_transport_cancels_the_residual_on_the_right_factor(rng):
     # scalar: the determinant of M2's basis in its first degree with
     # homology, so M1, the partial sum of a chain, keeps its canonical bases
     for m1, r1, m2, r2 in gluing_models(rng):
-        seq = mv_sequence(analyze_disk_sum(m1, r1, m2, r2))
-        transported = transport_bases(seq.canonical, seq.h_factors)
-        assert transported.residual == corrective_term(seq).value
-        p = next(p for p, h in enumerate(seq.h_factors[1]) if h.shape[1])
-        expected = [None] * len(seq.h_factors[1])
-        expected[p] = transported.residual ** ((-1) ** (p + 1))
-        assert transported.dets_m2 == expected, (m1.name, m2.name)
-        assert transported.dets_m1 == [None] * len(seq.h_factors[0])
-        assert transported.corrective.value == pytest.approx(1.0, abs=1e-9)
+        pair = analyze_disk_sum(m1, r1, m2, r2)
+        kappa = mv_sequence(pair).canonical.value
+        step = chain_step(m1, r1, m2, r2)
+        p, det = assigned_determinant(pair, step)
+        assert det == pytest.approx(kappa ** ((-1) ** (p + 1)), rel=1e-12), (m1.name, m2.name)
+        assert step.left_torsion == torsion_of(pair.tc1, pair.hd1).value
+        assert step.corrective == pytest.approx(1.0, abs=1e-9)
 
 
-def test_transport_falls_back_to_the_left_factor():
-    # read as if M2 were acyclic: its blocks widen M1's, and the residual
-    # goes on M1's first degree with homology; with no factor homology at
-    # all only a residual of 1 can be cancelled
-    seq = mv_sequence(analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0)))
-    assert seq.canonical.value != 1
-    acyclic = [np.zeros((n, 0), dtype=complex) for n in (3, 3)]
-    widened = [np.hstack([h1, h2]) for h1, h2 in zip(*seq.h_factors)]
-    left = transport_bases(seq.canonical, (widened, acyclic))
-    assert left.dets_m1 == [left.residual ** -1, None]
-    assert left.dets_m2 == [None, None]
-    assert left.corrective.value == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(TransportError, match="no nonzero direct-sum space"):
-        transport_bases(seq.canonical, (acyclic, acyclic))
-    dets = [None] * len(seq.dims)
-    dets[1] = 2.0
-    with pytest.raises(TransportError, match="space 1: a direct-sum space takes no given basis"):
-        transport_bases(seq.canonical, seq.h_factors, dets)
+def reading_acyclic(patch, *fields):
+    """Make each step of a chain read the factors ``fields`` ("hd1" for M1,
+    "hd2" for M2) as acyclic where it places the corrective term: their
+    betti numbers are zeroed in the glued pairs, and restored from their
+    homology bases wherever a torsion is split."""
+    glued_chain, split = glue._glued_chain, glue.torsion_of
+
+    def zeroed(*args):
+        for pair in glued_chain(*args):
+            yield dataclasses.replace(pair, **{
+                field: dataclasses.replace(getattr(pair, field),
+                                           betti=[0] * len(getattr(pair, field).betti))
+                for field in fields})
+
+    def splitting(tc, hd, tol):
+        betti = [h.shape[1] for h in hd.h_basis]
+        return split(tc, dataclasses.replace(hd, betti=betti), tol=tol)
+
+    patch.setattr(glue, "_glued_chain", zeroed)
+    patch.setattr(glue, "torsion_of", splitting)
+
+
+def test_transport_falls_back_to_the_left_factor(monkeypatch):
+    # read as if M2 were acyclic, the corrective term goes on M1's first
+    # degree with homology, and the partial sum carries the inverse power of
+    # that determinant into the next step; with no factor homology at all
+    # only a corrective term of 1 can be cancelled
+    factors, reps = [circle()] * 3, [diag_rep(2.0), diag_rep(3.0), diag_rep(5.0)]
+    pairs = list(glue._glued_chain(factors, reps, DEFAULT_TOL))
+    kappa = mv_sequence(pairs[-1]).canonical.value
+    assert kappa != 1
+    with monkeypatch.context() as patch:
+        reading_acyclic(patch, "hd2")
+        report = verify_multiplicativity(factors, reps)
+    assert report.passed
+    assert report.relative_error <= 1e-12
+    for step, pair in zip(report.steps, reversed(pairs)):
+        assert step.relative_error <= 1e-12
+        assert step.corrective == pytest.approx(1.0, abs=1e-9)
+        assert step.right_torsion == torsion_of(pair.tc2, pair.hd2).value
+    # the top step's partial sum takes a basis of H_0 of determinant kappa^-1
+    top = report.steps[0]
+    t1 = torsion_of(pairs[-1].tc1, pairs[-1].hd1).value
+    assert top.left_torsion == pytest.approx(t1 / kappa, rel=1e-12)
+
+    with monkeypatch.context() as patch:
+        reading_acyclic(patch, "hd1", "hd2")
+        with pytest.raises(TransportError, match="cannot be normalized: neither factor"):
+            verify_multiplicativity(factors[:2], reps[:2])
+        # point # point's corrective term is 1 to the bit
+        step = verify_multiplicativity([point(), point()],
+                                       [Representation.trivial(0)] * 2).steps[0]
+    assert step.corrective == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +218,31 @@ def assert_same_bits(result, reference, where):
     assert dets.tobytes() == expected.tobytes(), where
 
 
+def same_bits(a, b):
+    return np.complex128(a).tobytes() == np.complex128(b).tobytes()
+
+
 def test_assigned_bases_as_an_argument_change_no_bit():
     # the corrective term in the canonical bases is the sequence's own
     # torsion; an identity block multiplies by det I = 1 exactly, so dense
-    # identities reproduce every printed number bit for bit, and so does
-    # seq.canonical rescaled by the one determinant transport_bases records
+    # identities reproduce every printed number bit for bit, and the one
+    # scalar a chain step carries gives the numbers that rescaling the
+    # block's torsion and M2's by its determinant gives
     for (m1, r1), (m2, r2) in itertools.product(bit_models(), repeat=2):
         where = (m1.name, m2.name)
-        seq = mv_sequence(analyze_disk_sum(m1, r1, m2, r2))
+        pair = analyze_disk_sum(m1, r1, m2, r2)
+        seq = mv_sequence(pair)
         for bases in (None, identity_bases(seq)):
-            assert_same_bits(corrective_term(seq, bases), seq.canonical, where)
-        transported = transport_bases(seq.canonical, seq.h_factors)
-        dets = recorded_determinants(seq, transported)
-        assert sum(det is not None for det in dets) == 1, where
-        assert_same_bits(transported.corrective, rescaled(seq.canonical, dets, -1), where)
+            assert_same_bits(rebased(seq.canonical, bases, -1), seq.canonical, where)
+        block = gluing_torsion(pair)
+        p = next(p for p, b in enumerate(pair.hd2.betti) if b)
+        det = block.value ** ((-1) ** (p + 1))
+        step = chain_step(m1, r1, m2, r2)
+        corrective = rescaled(block, [None] * (3 * p + 1) + [det], -1)
+        right = rescaled(torsion_of(pair.tc2, pair.hd2), [None] * p + [det], 1)
+        assert same_bits(step.corrective, corrective.value), where
+        assert same_bits(step.right_torsion, right.value), where
+        assert same_bits(step.left_torsion, torsion_of(pair.tc1, pair.hd1).value), where
 
 
 def covariance_models():
@@ -245,41 +280,25 @@ def test_rebased_torsions_equal_a_split_in_the_new_bases(first, second, seed):
             split.per_degree_determinants, rel=1e-9)
     seq = mv_sequence(pair)
     bases = drawn_bases(pair, rng)
-    assert corrective_term(seq, bases).value == pytest.approx(
+    assert rebased(seq.canonical, bases, -1).value == pytest.approx(
         split_in_bases(seq, bases).value, rel=1e-9)
 
 
 @pytest.mark.parametrize("space", [0, 2, 3])
 @pytest.mark.parametrize("entry", [0.0, np.nan])
 def test_singular_coordinates_are_an_input_error(space, entry):
-    # space 0 is H_0(M), 2 is H_0(D) and 3 is H_1(M), none assigned by transport
+    # space 0 is H_0(M), 2 is H_0(D) and 3 is H_1(M)
     seq = mv_sequence(analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0)))
     bases = [None] * len(seq.dims)
     bases[space] = np.eye(seq.dims[space], dtype=complex)
     bases[space][:, 0] = entry
-    message = f"degree {space}: singular change of basis"
-    with pytest.raises(SplittingError, match=message):
-        corrective_term(seq, bases)
-    with pytest.raises(SplittingError, match=message):
-        transport_bases(seq.canonical, seq.h_factors, determinants(bases))
-
-
-def test_misshapen_coordinates_are_an_input_error():
-    # transport_bases takes determinants, which have no shape to check
-    seq = mv_sequence(analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0)))
-    assert seq.dims[3] == 4
-    bases = [None] * len(seq.dims)
-    bases[3] = np.eye(3, dtype=complex)
-    with pytest.raises(DimensionMismatchError, match=r"space 3: \(3, 3\) coordinates"):
-        corrective_term(seq, bases)
+    with pytest.raises(SplittingError, match=f"degree {space}: singular change of basis"):
+        rebased(seq.canonical, bases, -1)
 
 
 def test_missing_trailing_bases_are_the_identity():
     seq = mv_sequence(analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0)))
     for short in ([], [None], [None] * 3):
-        assert_same_bits(corrective_term(seq, short), seq.canonical, short)
-        assert_same_bits(transport_bases(seq.canonical, seq.h_factors, short).corrective,
-                         transport_bases(seq.canonical, seq.h_factors).corrective, short)
         assert_same_bits(rescaled(seq.canonical, short, 1), seq.canonical, short)
         assert_same_bits(rebased(seq.canonical, short, -1), seq.canonical, short)
 
@@ -288,9 +307,6 @@ def test_more_bases_than_degrees_are_an_input_error():
     seq = mv_sequence(analyze_disk_sum(circle(), diag_rep(2.0), circle(), diag_rep(3.0)))
     assert len(seq.dims) == 6
     calls = [
-        (lambda: corrective_term(seq, [None] * 7), "7 changes of basis for a complex of 6"),
-        (lambda: transport_bases(seq.canonical, seq.h_factors, [None] * 7),
-         "7 changes of basis for a complex of 6"),
         (lambda: rescaled(seq.canonical, [None] * 7, 1), "7 changes of basis for a complex of 6"),
         (lambda: rebased(seq.canonical, [None] * 7, -1), "7 changes of basis for a complex of 6"),
     ]
@@ -348,23 +364,23 @@ CHAIN = (circle(), wedge_of_circles(2), torus(), wedge_of_circles(3),
 
 
 def test_chain_solves_nothing(solve_calls, monkeypatch):
-    built, transported, lstsq_calls = [], [], []
-    build, transport, lstsq = glue.gluing_torsion, glue.transport_bases, np.linalg.lstsq
+    built, rescalings, lstsq_calls = [], [], []
+    build, rescale, lstsq = glue.gluing_torsion, torsion.rescaled, np.linalg.lstsq
 
     def building(*args, **kwargs):
         built.append(build(*args, **kwargs))
         return built[-1]
 
-    def transporting(*args, **kwargs):
-        transported.append(transport(*args, **kwargs))
-        return transported[-1]
+    def rescaling(*args, **kwargs):
+        rescalings.append(None)
+        return rescale(*args, **kwargs)
 
     def counting(*args, **kwargs):
         lstsq_calls.append(None)
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(glue, "gluing_torsion", building)
-    monkeypatch.setattr(glue, "transport_bases", transporting)
+    monkeypatch.setattr(torsion, "rescaled", rescaling)
     monkeypatch.setattr(np.linalg, "lstsq", counting)
     # eigenvalues drawn as the chain workload draws them: modulus in
     # [1.3, 2.2] and a uniform phase
@@ -377,16 +393,11 @@ def test_chain_solves_nothing(solve_calls, monkeypatch):
     report = verify_multiplicativity(list(CHAIN), reps)
     assert report.passed
     # one corrective term per step, each taken from its degree-0 block; the
-    # transported bases and the carried basis of H(M) enter every corrective
-    # term and factor torsion as determinants
-    assert len(built) == len(CHAIN) - 1
+    # change of basis travels as one scalar, so no basis is transported,
+    # rescaled or rebased
+    assert len(built) == len(report.steps) == len(CHAIN) - 1
+    assert rescalings == []
     assert solve_calls == []
     # sections come from the SVDs of homology and class coordinates are
     # projections, so nothing is solved in the least-squares sense
     assert lstsq_calls == []
-    # the step that unfolds factor k glues the partial sum of CHAIN[:k] to
-    # CHAIN[k], and records one determinant per degree of each
-    assert len(transported) == len(report.steps)
-    for t, k in zip(transported, range(len(CHAIN) - 1, 0, -1)):
-        assert len(t.dets_m1) == max(cw.dimension for cw in CHAIN[:k]) + 1
-        assert len(t.dets_m2) == CHAIN[k].dimension + 1
